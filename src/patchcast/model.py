@@ -32,8 +32,7 @@ from .numerics import (
     reshape,
     select_position,
 )
-
-NORM_KINDS = ("batch", "layer")
+from .numerics.ops import NORM_KINDS
 
 
 @dataclass(frozen=True)

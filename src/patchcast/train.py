@@ -5,6 +5,9 @@ One loop serves all four modes: dual-head self-supervised pretraining
 fine-tuning variants, and from-scratch target training.  Freezing is
 structural — frozen tensors are simply never handed to the optimizer, and
 the encoder runs in infer mode so batch-norm running statistics stay put.
+A frozen encoder also runs off the tape: it leaves no records, the reverse
+sweep covers only the decoder heads and the loss, and frozen tensors never
+receive a gradient.
 
 Checkpoints are a little-endian binary format: magic ``OMGA``, a version
 word, the model config as key=value text, named float32 tensors (parameters
@@ -14,6 +17,7 @@ plus batch-norm running statistics), and the training step count.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -170,9 +174,15 @@ def _run_loop(
         batch = make_batch(
             pool, cfg.batch_size, mc.context_length, mc.l_pred, mc.l_patch, rng
         )
+        x = Tensor(batch.inputs)
         try:
+            if encoder_mode == "infer":
+                # a frozen encoder runs off the tape: z reaches the heads as a
+                # constant, so backward sweeps only the head and loss records
+                _, z = encode(x, model, mode="infer")
             with Tape() as tape:
-                _, z = encode(Tensor(batch.inputs), model, mode=encoder_mode)
+                if encoder_mode != "infer":
+                    _, z = encode(x, model, mode=encoder_mode)
                 f_loss = mse(decode_forecast(z, model.forecast), Tensor(batch.forecast_targets))
                 r_loss = mse(
                     decode_reconstruct(z, model.reconstruct), Tensor(batch.reconstruction_targets)
@@ -241,22 +251,19 @@ def finetune(
     """Train one decoder head on the target's earliest 80%; encoder frozen.
 
     The encoder runs in infer mode (running statistics untouched) and its
-    tensors are excluded from the optimizer, so freezing holds bitwise.
+    tensors are excluded from the optimizer, so freezing holds bitwise.  It
+    also runs before the tape opens: the tape records only the decoder heads
+    and the loss, backward sweeps those records alone, and no frozen tensor
+    receives a ``.grad``.  A non-finite value in the frozen encoder still
+    surfaces as :class:`TrainingDiverged`.
     """
     if train_config.target_mode not in ("finetune_forecast", "finetune_reconstruct"):
         raise ConfigError(
             f"finetune requires a finetune target_mode, got {train_config.target_mode!r}"
         )
     head = "forecast" if train_config.target_mode.endswith("forecast") else "reconstruct"
-    decoder = model.forecast if head == "forecast" else model.reconstruct
-    trainable = {
-        f"dec_{head}.norm.gain": decoder.norm_gain,
-        f"dec_{head}.norm.bias": decoder.norm_bias,
-        f"dec_{head}.w1": decoder.w1,
-        f"dec_{head}.b1": decoder.b1,
-        f"dec_{head}.w2": decoder.w2,
-        f"dec_{head}.b2": decoder.b2,
-    }
+    prefix = f"dec_{head}."
+    trainable = {n: p for n, p in model.named_parameters().items() if n.startswith(prefix)}
     return _run_loop(
         model, [_train_segment(target, model.config)], train_config,
         trainable=trainable,
@@ -304,7 +311,11 @@ def _checkpoint_tensors(model: Model) -> dict:
 
 
 def save_checkpoint(model: Model, path, step: int = 0) -> None:
-    """Serialize parameters, running statistics, config, and step count."""
+    """Serialize parameters, running statistics, config, and step count.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it,
+    so a save that fails part-way leaves any previous checkpoint intact.
+    """
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", FORMAT_VERSION)
@@ -323,8 +334,16 @@ def save_checkpoint(model: Model, path, step: int = 0) -> None:
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     out += struct.pack("<Q", step)
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(out)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

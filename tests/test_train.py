@@ -5,15 +5,27 @@ import struct
 import numpy as np
 import pytest
 
-from patchcast.data import TimeSeries
+from patchcast.data import TimeSeries, make_batch
 from patchcast.errors import (
     CheckpointCorruptError,
     CheckpointFormatError,
     CheckpointVersionError,
     ConfigError,
+    NumericError,
     TrainingDiverged,
 )
-from patchcast.model import ModelConfig, decode_forecast, encode, init_params
+from patchcast.eval import split_series
+from patchcast.model import ModelConfig, decode_forecast, decode_reconstruct, encode, init_params
+from patchcast.numerics import (
+    AdamWConfig,
+    AdamWState,
+    Tape,
+    Tensor,
+    adamw_step,
+    backward,
+    mse,
+    zero_grads,
+)
 from patchcast.synth import PhenomenonSpec, generate_quantity
 from patchcast.train import (
     TrainConfig,
@@ -174,6 +186,37 @@ class TestLoop:
         restore_snapshot(model, exc.last_finite_params)
 
 
+def reference_finetune(model, target, cfg):
+    """The finetune loop with the frozen encoder recorded on the tape.
+
+    Returns the curve as (step, total, forecast_mse, reconstruct_mse) tuples;
+    the head parameters are trained in place.
+    """
+    head = "forecast" if cfg.target_mode.endswith("forecast") else "reconstruct"
+    mc = model.config
+    train_seg, _, _ = split_series(target, mc.context_length, mc.l_pred)
+    trainable = {
+        n: p for n, p in model.named_parameters().items() if n.startswith(f"dec_{head}.")
+    }
+    opt = AdamWState.initial(trainable, AdamWConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
+    rng = np.random.default_rng(cfg.seed)
+    curve = []
+    for step in range(cfg.steps):
+        batch = make_batch([train_seg], cfg.batch_size, mc.context_length, mc.l_pred, mc.l_patch, rng)
+        with Tape() as tape:
+            _, z = encode(Tensor(batch.inputs), model, mode="infer")
+            f_loss = mse(decode_forecast(z, model.forecast), Tensor(batch.forecast_targets))
+            r_loss = mse(
+                decode_reconstruct(z, model.reconstruct), Tensor(batch.reconstruction_targets)
+            )
+            total = f_loss if head == "forecast" else r_loss
+            backward(tape, total)
+        adamw_step(trainable, opt)
+        zero_grads(trainable)
+        curve.append((step, total.item(), f_loss.item(), r_loss.item()))
+    return curve
+
+
 class TestFreeze:
     def test_finetune_moves_only_forecast_head(self, pool, target):
         res = pretrain(pool, small_config(), TrainConfig(steps=10, batch_size=4, seed=3))
@@ -197,6 +240,9 @@ class TestFreeze:
             if n.startswith("dec_forecast") and not np.array_equal(before[n], p.data)
         ]
         assert moved
+        for n, p in model.named_parameters().items():
+            if not n.startswith("dec_forecast"):
+                assert p.grad is None, f"{n} holds a gradient under freeze"
 
     def test_finetune_reconstruct_leaves_forecast_head(self, pool, target):
         model = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
@@ -209,6 +255,7 @@ class TestFreeze:
         for n, p in model.named_parameters().items():
             if not n.startswith("dec_reconstruct"):
                 assert np.array_equal(before[n], p.data), n
+                assert p.grad is None, f"{n} holds a gradient under freeze"
 
     def test_finetune_curve_uses_single_head(self, pool, target):
         model = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
@@ -241,6 +288,28 @@ class TestFreeze:
             a.model.named_parameters().items(), b.model.named_parameters().values()
         ):
             assert np.array_equal(p.data, q.data), n
+
+    @pytest.mark.parametrize("mode", ["finetune_forecast", "finetune_reconstruct"])
+    def test_off_tape_encoder_matches_taped_reference(self, pool, target, mode):
+        base = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
+        cfg = TrainConfig(steps=8, batch_size=4, seed=1, target_mode=mode)
+        ref_model = clone_model(base)
+        ref_curve = reference_finetune(ref_model, target, cfg)
+        res = finetune(clone_model(base), target, cfg)
+        assert [(r.step, r.total, r.forecast_mse, r.reconstruct_mse) for r in res.curve] == ref_curve
+        for (n, p), q in zip(
+            res.model.named_parameters().items(), ref_model.named_parameters().values()
+        ):
+            assert np.array_equal(p.data, q.data), n
+
+    def test_nan_in_frozen_encoder_diverges_at_step_zero(self, pool, target):
+        model = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
+        model.encoder.layers[0].wq.data[0, 0] = np.nan
+        cfg = TrainConfig(steps=4, batch_size=4, seed=1, target_mode="finetune_forecast")
+        with pytest.raises(TrainingDiverged) as info:
+            finetune(model, target, cfg)
+        assert info.value.step == 0
+        assert isinstance(info.value.__cause__, NumericError)
 
     def test_clone_is_bitwise_and_independent(self, pool):
         model = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
@@ -330,6 +399,25 @@ class TestCheckpoint:
         assert np.array_equal(
             decode_forecast(z1, trained.forecast).data, decode_forecast(z2, loaded.forecast).data
         )
+
+    def test_failed_save_keeps_previous_checkpoint(self, trained, saved):
+        # a file-size limit below the checkpoint's size makes the write fail part-way
+        resource = pytest.importorskip("resource")
+        signal = pytest.importorskip("signal")
+        blob = saved.read_bytes()
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        prev_handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        try:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (len(blob) // 2, hard))
+            with pytest.raises(OSError):
+                save_checkpoint(trained, saved, step=11)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, prev_handler)
+        assert saved.read_bytes() == blob
+        _, step = load_checkpoint(saved)
+        assert step == 10
+        assert sorted(p.name for p in saved.parent.iterdir()) == [saved.name]
 
     def test_expect_config_accepts_match(self, saved):
         load_checkpoint(saved, expect_config=small_config())
