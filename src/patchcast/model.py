@@ -8,7 +8,10 @@ the summary token's final embedding feeds two small MLP heads, one rebuilding
 the input window and one predicting the next ``l_pred`` samples.
 
 Everything here is functional over :class:`~patchcast.numerics.Tensor`, so
-the same code path serves training (on tape) and inference (no tape).
+the same code path serves training (on tape) and inference (no tape).  Every
+projection (patch, q/k/v/o, feedforward, head layers) is one fused ``linear``
+op, so it costs one tape record; ReLU propagates NaN, so a non-finite weight
+reaches the loss even with the per-op debug scans off.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .numerics import (
     add,
     append_token,
     causal_attention,
-    matmul,
+    linear,
     normalize,
     relu,
     reshape,
@@ -286,16 +289,6 @@ def init_params(config: ModelConfig, dtype=np.float32) -> Model:
     )
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    # (B, T, D_in) @ (D_in, D_out) + b, via a flatten/unflatten pair
-    if x.data.ndim == 2:
-        return add(matmul(x, w), b)
-    B, T, _ = x.shape
-    flat = reshape(x, (B * T, x.shape[-1]))
-    out = add(matmul(flat, w), b)
-    return reshape(out, (B, T, w.shape[1]))
-
-
 def encode(
     patches: Union[Tensor, PatchSequence, np.ndarray],
     model: Model,
@@ -328,25 +321,25 @@ def encode(
         )
 
     enc = model.encoder
-    h = _linear(x, enc.patch_proj_w, enc.patch_proj_b)  # (B, n, d)
+    h = linear(x, enc.patch_proj_w, enc.patch_proj_b)  # (B, n, d)
     h = append_token(h, enc.seq_token)  # (B, n+1, d)
     h = add(h, enc.pos_emb)  # every position, summary token included
 
     for i, layer in enumerate(model.encoder.layers):
-        q = _linear(h, layer.wq, layer.bq)
-        k = _linear(h, layer.wk, layer.bk)
-        v = _linear(h, layer.wv, layer.bv)
+        q = linear(h, layer.wq, layer.bq)
+        k = linear(h, layer.wk, layer.bk)
+        v = linear(h, layer.wv, layer.bv)
         attn = causal_attention(q, k, v, cfg.n_heads)
-        attn = _linear(attn, layer.wo, layer.bo)
+        attn = linear(attn, layer.wo, layer.bo)
         attn = normalize(
             attn, cfg.norm_kind, layer.norm1_gain, layer.norm1_bias,
             state=model.norm_states.get(f"layers.{i}.norm1"), mode=mode,
         )
         h = add(h, attn)
-        pre = _linear(h, layer.w1, layer.b1)
+        pre = linear(h, layer.w1, layer.b1)
         if taps is not None:
             taps[f"layers.{i}.ff.preact"] = pre
-        ff = _linear(relu(pre), layer.w2, layer.b2)
+        ff = linear(relu(pre), layer.w2, layer.b2)
         ff = normalize(
             ff, cfg.norm_kind, layer.norm2_gain, layer.norm2_bias,
             state=model.norm_states.get(f"layers.{i}.norm2"), mode=mode,
@@ -374,10 +367,10 @@ def _decode(z, params: DecoderParams, role: str, taps: Optional[dict]) -> Tensor
     if zt.data.ndim != 2 or zt.shape[1] != d:
         raise ShapeError(f"decoder expects embeddings of width {d}, got {zt.shape}")
     h = normalize(zt, "layer", params.norm_gain, params.norm_bias)
-    pre = add(matmul(h, params.w1), params.b1)
+    pre = linear(h, params.w1, params.b1)
     if taps is not None:
         taps[f"dec_{role}.preact"] = pre
-    out = add(matmul(relu(pre), params.w2), params.b2)
+    out = linear(relu(pre), params.w2, params.b2)
     if single:
         out = reshape(out, (out.shape[1],))
     return out

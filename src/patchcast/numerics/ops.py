@@ -5,6 +5,10 @@ tape is active — records a closure holding exactly the arrays its backward
 rule needs.  Backward rules are hand-derived; the gradient checker in
 ``gradcheck`` is the referee.
 
+Every model projection is one ``linear`` record: a single GEMM over the
+flattened leading axes plus the bias.  ``relu`` propagates NaN, so a
+non-finite value reaches the loss even with the output scans switched off.
+
 Shape glossary used below: B batch, T sequence length, D model width,
 h head count.
 """
@@ -73,6 +77,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Y = X @ W + b over the last axis: (..., D_in) -> (..., D_out), one record.
+
+    The leading axes are flattened into one GEMM on a (N, D_in) view of X.
+    dX = dY @ W^T, dW = X^T @ dY, db = dY summed over the N rows.
+    """
+    if x.data.ndim < 1 or w.data.ndim != 2:
+        raise ShapeError(f"linear expects (..., D_in) and 2-D weights, got {x.shape} and {w.shape}")
+    d_in, d_out = w.shape
+    if x.shape[-1] != d_in:
+        raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
+    if b.shape != (d_out,):
+        raise ShapeError(f"linear bias must have shape ({d_out},), got {b.shape}")
+    _same_dtype("linear", x, w, b)
+    in_shape = x.shape
+    flat = x.data.reshape(-1, d_in)
+    wd = w.data
+    y = flat @ wd
+    y += b.data
+    out = Tensor(y.reshape(in_shape[:-1] + (d_out,)))
+
+    def bwd(dout, needs):
+        d2 = dout.reshape(-1, d_out)
+        dx = (d2 @ wd.T).reshape(in_shape) if needs[0] else None
+        dw = flat.T @ d2 if needs[1] else None
+        db = d2.sum(axis=0) if needs[2] else None
+        return dx, dw, db
+
+    _record("linear", (x, w, b), out, bwd)
+    return out
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy broadcasting; gradients reduce back."""
     _same_dtype("add", a, b)
@@ -104,8 +140,10 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0).  NaN propagates (a NaN input gives a NaN output); -0.0 maps
+    to +0.0.  The gradient passes where x > 0 and is zero elsewhere."""
     mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0))
+    out = Tensor(np.maximum(x.data, 0))
 
     def bwd(dout, needs):
         return (dout * mask if needs[0] else None,)

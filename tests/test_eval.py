@@ -1,8 +1,15 @@
 """Splits, sliding-window scoring, baselines, and the three-way comparison."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import patchcast
 import patchcast.eval as eval_mod
 from patchcast.data import TimeSeries
 from patchcast.errors import (
@@ -28,7 +35,7 @@ from patchcast.eval import (
 )
 from patchcast.model import ModelConfig, init_params
 from patchcast.synth import PhenomenonSpec, generate_quantity
-from patchcast.train import TrainConfig, pretrain
+from patchcast.train import TrainConfig, pretrain, save_checkpoint
 
 SMALL = dict(l_patch=8, n_patches=8, d_model=16, n_layers=2, n_heads=2, d_ff=24, l_pred=16)
 W, H, S = 64, 16, 32
@@ -198,6 +205,41 @@ class TestZeroShot:
         a = evaluate_zero_shot(model, series, "forecast", W, H, S)
         b = evaluate_zero_shot(model, series, "forecast", W, H, S, workers=4)
         assert [w.mse for w in a.per_window] == [w.mse for w in b.per_window]
+
+    def test_single_blas_thread_matches_default_threading(self, model, series, tmp_path):
+        # one subprocess pinned to one BLAS thread scores the same checkpoint
+        # with one and two workers; both must equal this process bitwise
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(model, ckpt)
+        script = (
+            "import json, sys\n"
+            "from patchcast.eval import evaluate_zero_shot\n"
+            "from patchcast.synth import PhenomenonSpec, generate_quantity\n"
+            "from patchcast.train import load_checkpoint\n"
+            "model, _ = load_checkpoint(sys.argv[1])\n"
+            "spec = PhenomenonSpec('sinusoid_mixture', 30.0, 64.0,\n"
+            "    {'amplitudes': [1.0, 0.4], 'frequencies_hz': [1.0, 5.0]}, seed=1)\n"
+            "series = generate_quantity(spec)\n"
+            "print(json.dumps({str(k): [float(w.mse).hex() for w in evaluate_zero_shot(\n"
+            f"    model, series, 'forecast', {W}, {H}, {S}, workers=k).per_window]\n"
+            "    for k in (1, 2)}))\n"
+        )
+        src = str(Path(patchcast.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(ckpt)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pinned = json.loads(proc.stdout.strip().splitlines()[-1])
+        rep = evaluate_zero_shot(model, series, "forecast", W, H, S)
+        here = [float(w.mse).hex() for w in rep.per_window]
+        assert len(here) > 1
+        assert pinned == {"1": here, "2": here}
 
     def test_short_horizon_scores_prefix(self, model, series):
         rep = evaluate_zero_shot(model, series, "forecast", W, 8, S)

@@ -15,6 +15,7 @@ from patchcast.numerics import (
     append_token,
     causal_attention,
     grad_check,
+    linear,
     matmul,
     mse,
     normalize,
@@ -81,6 +82,19 @@ def test_matmul_add_relu_chain():
 
     def f():
         return mse(relu(add(matmul(x, params["w"]), params["b"])), target)
+
+    report = grad_check(f, params)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("x_shape", [(4, 5), (2, 3, 5)])
+def test_linear_gradients(x_shape):
+    rng = np.random.default_rng(9)
+    params = {"x": _p(rng, x_shape), "w": _p(rng, (5, 3)), "b": _p(rng, (3,))}
+    target = Tensor(rng.normal(size=x_shape[:-1] + (3,)), dtype=F64)
+
+    def f():
+        return mse(linear(params["x"], params["w"], params["b"]), target)
 
     report = grad_check(f, params)
     assert report.passed, str(report)

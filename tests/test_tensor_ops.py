@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from patchcast.errors import ContractError, DegenerateBatchError, ShapeError
+from patchcast.errors import ContractError, DegenerateBatchError, NumericError, ShapeError
 from patchcast.numerics import (
     NormState,
+    Tape,
     Tensor,
     add,
     append_token,
+    backward,
     causal_attention,
+    debug_checks,
+    linear,
     matmul,
     mse,
     normalize,
@@ -68,6 +72,67 @@ class TestMatmul:
         b = Tensor(np.ones((2, 2)), dtype=np.float64)
         with pytest.raises(ContractError):
             matmul(a, b)
+
+
+def _composite_linear(x, w, b):
+    # the flatten -> matmul -> add -> unflatten chain that linear replaces
+    if x.data.ndim == 2:
+        return add(matmul(x, w), b)
+    lead = x.shape[:-1]
+    flat = reshape(x, (int(np.prod(lead)), x.shape[-1]))
+    return reshape(add(matmul(flat, w), b), lead + (w.shape[1],))
+
+
+class TestLinear:
+    def _run(self, op, x, w, b, tok, target):
+        params = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        with Tape() as tape:
+            y = op(*params)
+            if y.data.ndim == 3:
+                # append_token hands back a non-contiguous slice as dY
+                y = append_token(y, Tensor(tok))
+            loss = mse(y, Tensor(target))
+            backward(tape, loss)
+        return y.data, [p.grad for p in params]
+
+    @pytest.mark.parametrize("x_shape", [(6, 5), (3, 4, 5)])
+    def test_bitwise_equal_to_composite(self, x_shape):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(size=(5, 7)).astype(np.float32)
+        b = rng.normal(size=7).astype(np.float32)
+        tok = rng.normal(size=7).astype(np.float32)
+        out_shape = (3, 5, 7) if len(x_shape) == 3 else (6, 7)
+        target = rng.normal(size=out_shape).astype(np.float32)
+        got, got_grads = self._run(linear, x, w, b, tok, target)
+        ref, ref_grads = self._run(_composite_linear, x, w, b, tok, target)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, ref)
+        for g, r in zip(got_grads, ref_grads):
+            assert g.dtype == r.dtype and np.array_equal(g, r)
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((2, 3), (4, 5), (5,)),  # inner dims differ
+        ((2, 4), (4, 5), (4,)),  # bias width
+        ((2, 4), (4, 5), (1, 5)),  # bias rank
+        ((2, 4), (4, 5, 1), (5,)),  # weights not 2-D
+    ])
+    def test_rejects_bad_shapes(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ShapeError):
+            linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+
+    def test_rejects_mixed_dtype(self):
+        x = Tensor(np.ones((2, 2)), dtype=np.float32)
+        w = Tensor(np.ones((2, 2)), dtype=np.float64)
+        b = Tensor(np.ones(2), dtype=np.float32)
+        with pytest.raises(ContractError):
+            linear(x, w, b)
+
+    def test_nan_weight_is_reported_as_linear(self):
+        w = np.ones((4, 3), np.float32)
+        w[1, 2] = np.nan
+        with debug_checks(True), pytest.raises(NumericError, match="linear"):
+            linear(Tensor(np.ones((2, 5, 4), np.float32)), Tensor(w), Tensor(np.zeros(3, np.float32)))
 
 
 class TestSoftmax:
@@ -231,6 +296,24 @@ class TestPlumbing:
 
     def test_relu(self):
         assert_allclose(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bitwise_matches_masked_select(self, dtype):
+        vals = [-0.0, 0.0, np.inf, -np.inf, -3.0, 2.5, -1e-30, 1e-30, 7.0, -0.0] * 7
+        x = np.array(vals, dtype=dtype)
+        for view in (x, x[1::3]):
+            with debug_checks(False):  # the infinities would trip the output scan
+                out = relu(Tensor(view)).data
+            ref = np.where(view > 0, view, 0)
+            assert out.dtype == ref.dtype == dtype
+            assert np.array_equal(out.view(np.uint8), np.ascontiguousarray(ref).view(np.uint8))
+            assert not np.signbit(out).any()
+
+    def test_relu_propagates_nan(self):
+        with debug_checks(False):
+            out = relu(Tensor(np.array([np.nan, -1.0, 1.0], np.float32)))
+        assert np.isnan(out.data[0])
+        assert_array_equal(out.data[1:], [0.0, 1.0])
 
     def test_reshape_roundtrip(self):
         x = Tensor(np.arange(12, dtype=np.float32))

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import patchcast.train as train_mod
 from patchcast.data import TimeSeries, make_batch
 from patchcast.errors import (
     CheckpointCorruptError,
@@ -23,6 +24,7 @@ from patchcast.numerics import (
     Tensor,
     adamw_step,
     backward,
+    debug_checks,
     mse,
     zero_grads,
 )
@@ -311,6 +313,15 @@ class TestFreeze:
         assert info.value.step == 0
         assert isinstance(info.value.__cause__, NumericError)
 
+    def test_nan_in_frozen_encoder_diverges_with_debug_checks_off(self, pool, target):
+        # with no per-op scans, the NaN must still reach the loss through ReLU
+        model = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
+        model.encoder.layers[0].wq.data[0, 0] = np.nan
+        cfg = TrainConfig(steps=4, batch_size=4, seed=1, target_mode="finetune_forecast")
+        with debug_checks(False), pytest.raises(TrainingDiverged) as info:
+            finetune(model, target, cfg)
+        assert info.value.step == 0
+
     def test_clone_is_bitwise_and_independent(self, pool):
         model = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
         twin = clone_model(model)
@@ -318,6 +329,46 @@ class TestFreeze:
             assert np.array_equal(p.data, q.data), n
         twin.forecast.w2.data[0, 0] += 1.0
         assert model.forecast.w2.data[0, 0] != twin.forecast.w2.data[0, 0]
+
+
+class TestTapeCensus:
+    @pytest.fixture
+    def tapes(self, monkeypatch):
+        seen = []
+
+        class RecordingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                seen.append(self)
+
+        monkeypatch.setattr(train_mod, "Tape", RecordingTape)
+        return seen
+
+    @staticmethod
+    def ops_of(tape):
+        ops = {}
+        for rec in tape.records:
+            ops[rec.op] = ops.get(rec.op, 0) + 1
+        return ops
+
+    def test_pretrain_step_records_one_linear_per_projection(self, pool, tapes):
+        n_layers = SMALL["n_layers"]
+        pretrain(pool, small_config(), TrainConfig(steps=1, batch_size=4, seed=3))
+        (tape,) = tapes
+        ops = self.ops_of(tape)
+        assert ops["linear"] == 6 * n_layers + 5
+        assert "reshape" not in ops and "matmul" not in ops
+        assert len(tape) == 12 * n_layers + 17
+
+    def test_finetune_step_records_heads_and_losses_only(self, pool, target, tapes):
+        model = pretrain(pool, small_config(), TrainConfig(steps=1, batch_size=4, seed=3)).model
+        tapes.clear()
+        finetune(
+            model, target, TrainConfig(steps=1, batch_size=4, seed=1, target_mode="finetune_forecast")
+        )
+        (tape,) = tapes
+        assert len(tape) == 10
+        assert self.ops_of(tape)["linear"] == 4
 
 
 class TestCurveCsv:
