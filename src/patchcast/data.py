@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,31 +71,6 @@ class ContextWindow:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class PatchSequence:
-    """A window split into n contiguous patches of length l_patch."""
-
-    patches: np.ndarray  # (n, l_patch)
-
-    def __post_init__(self):
-        p = np.asarray(self.patches, dtype=np.float64)
-        if p.ndim != 2:
-            raise DataError(f"patches must be 2-D, got shape {p.shape}")
-        object.__setattr__(self, "patches", p)
-
-    @property
-    def n(self) -> int:
-        return self.patches.shape[0]
-
-    @property
-    def l_patch(self) -> int:
-        return self.patches.shape[1]
-
-    def concatenate(self) -> np.ndarray:
-        """Inverse of segmentation: the original window, exactly."""
-        return self.patches.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -181,25 +156,7 @@ def denormalize(values, window: ContextWindow) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# segmentation / windowing
-
-
-def segment_patches(window: Union[ContextWindow, np.ndarray], l_patch: int) -> PatchSequence:
-    """Split a window into n = W/l_patch contiguous patches, oldest first.
-
-    No resampling happens here — patch duration simply follows the source
-    sampling rate.
-    """
-    v = window.values if isinstance(window, ContextWindow) else np.asarray(window, dtype=np.float64)
-    if l_patch < 1:
-        raise ConfigError(f"l_patch must be positive, got {l_patch}")
-    w = v.size
-    if w % l_patch != 0:
-        raise DivisibilityError(
-            f"window length {w} is not a multiple of l_patch={l_patch}; "
-            f"trim the {w % l_patch} oldest samples before segmenting"
-        )
-    return PatchSequence(patches=v.reshape(w // l_patch, l_patch))
+# windowing
 
 
 def sliding_windows(series, W: int, H: int, S: int) -> list:
@@ -263,11 +220,10 @@ def preprocess_slow_signal(series: TimeSeries, target_hz: float, smooth_width: i
     else:
         # interior: full-width average via cumulative sums; edges shrink
         cs = np.concatenate([[0.0], np.cumsum(coarse)])
-        smoothed = np.empty_like(coarse)
         n = len(coarse)
-        for i in range(n):
-            k = min(half, i, n - 1 - i)
-            smoothed[i] = (cs[i + k + 1] - cs[i - k]) / (2 * k + 1)
+        i = np.arange(n)
+        k = np.minimum(half, np.minimum(i, n - 1 - i))
+        smoothed = (cs[i + k + 1] - cs[i - k]) / (2 * k + 1)
     return TimeSeries(
         id=f"{series.id}@{target_hz:g}hz",
         values=smoothed,

@@ -12,16 +12,23 @@ the same code path serves training (on tape) and inference (no tape).  Every
 projection (patch, q/k/v/o, feedforward, head layers) is one fused ``linear``
 op, so it costs one tape record; ReLU propagates NaN, so a non-finite weight
 reaches the loss even with the per-op debug scans off.
+
+The parameter set is stated once, in :func:`param_spec`: an ordered list of
+``(name, shape, init)``.  The model holds one registry built from it, and
+``parameter_count``, ``init_params`` and the checkpoint format derive from
+it, so draw order = spec order = checkpoint order.  The layers read their
+weights from the registry by name; the decoder heads are handed out as
+:class:`DecoderParams` views over the same tensors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
 
-from .data import PatchSequence
 from .errors import ConfigError, ContractError, ShapeError
 from .numerics import (
     NormState,
@@ -96,37 +103,53 @@ class ModelConfig:
         return cls(**kwargs)
 
 
-@dataclass
-class LayerParams:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    norm1_gain: Tensor
-    norm1_bias: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    norm2_gain: Tensor
-    norm2_bias: Tensor
+def param_spec(config: ModelConfig) -> list:
+    """Every trainable tensor as ``(name, shape, init)``, in checkpoint order.
 
-
-@dataclass
-class EncoderParams:
-    patch_proj_w: Tensor  # (l_patch, d_model)
-    patch_proj_b: Tensor
-    pos_emb: Tensor  # (n_patches + 1, d_model); last row belongs to the summary token
-    seq_token: Tensor  # (d_model,)
-    layers: list
+    This list is the one statement of the parameter set; the model's
+    registry, ``parameter_count``, ``init_params`` and the checkpoint all
+    derive from it.  ``init`` is ``"normal"`` (N(0, 0.02) from the seeded
+    generator), ``"zeros"`` or ``"ones"``.  The positional table has one
+    row per patch plus a last row for the summary token; the reconstruction
+    head's hidden width is half the window it rebuilds.
+    """
+    d, dff = config.d_model, config.d_ff
+    spec = [
+        ("patch_proj.w", (config.l_patch, d), "normal"),
+        ("patch_proj.b", (d,), "zeros"),
+        ("pos_emb", (config.n_patches + 1, d), "normal"),
+        ("seq_token", (d,), "normal"),
+    ]
+    for i in range(config.n_layers):
+        p = f"layers.{i}."
+        spec += [
+            (p + "attn.wq", (d, d), "normal"), (p + "attn.bq", (d,), "zeros"),
+            (p + "attn.wk", (d, d), "normal"), (p + "attn.bk", (d,), "zeros"),
+            (p + "attn.wv", (d, d), "normal"), (p + "attn.bv", (d,), "zeros"),
+            (p + "attn.wo", (d, d), "normal"), (p + "attn.bo", (d,), "zeros"),
+            (p + "norm1.gain", (d,), "ones"), (p + "norm1.bias", (d,), "zeros"),
+            (p + "ff.w1", (d, dff), "normal"), (p + "ff.b1", (dff,), "zeros"),
+            (p + "ff.w2", (dff, d), "normal"), (p + "ff.b2", (d,), "zeros"),
+            (p + "norm2.gain", (d,), "ones"), (p + "norm2.bias", (d,), "zeros"),
+        ]
+    heads = (
+        ("reconstruct", config.reconstruct_hidden, config.reconstruct_out),
+        ("forecast", d, config.l_pred),
+    )
+    for role, hidden, out in heads:
+        p = f"dec_{role}."
+        spec += [
+            (p + "norm.gain", (d,), "ones"), (p + "norm.bias", (d,), "zeros"),
+            (p + "w1", (d, hidden), "normal"), (p + "b1", (hidden,), "zeros"),
+            (p + "w2", (hidden, out), "normal"), (p + "b2", (out,), "zeros"),
+        ]
+    return spec
 
 
 @dataclass
 class DecoderParams:
+    """A view of one head's tensors in the model's registry."""
+
     role: str  # "reconstruct" | "forecast"
     norm_gain: Tensor
     norm_bias: Tensor
@@ -138,159 +161,94 @@ class DecoderParams:
 
 @dataclass
 class Model:
-    """Config plus all parameter groups and batch-norm running statistics."""
+    """Config, the parameter registry, and batch-norm running statistics.
+
+    ``params`` maps each name of :func:`param_spec` to its tensor, in spec
+    order.
+    """
 
     config: ModelConfig
-    encoder: EncoderParams
-    reconstruct: DecoderParams
-    forecast: DecoderParams
+    params: dict
     norm_states: dict = field(default_factory=dict)
 
     def named_parameters(self) -> dict:
-        out = {
-            "patch_proj.w": self.encoder.patch_proj_w,
-            "patch_proj.b": self.encoder.patch_proj_b,
-            "pos_emb": self.encoder.pos_emb,
-            "seq_token": self.encoder.seq_token,
-        }
-        for i, layer in enumerate(self.encoder.layers):
-            prefix = f"layers.{i}"
-            out[f"{prefix}.attn.wq"] = layer.wq
-            out[f"{prefix}.attn.bq"] = layer.bq
-            out[f"{prefix}.attn.wk"] = layer.wk
-            out[f"{prefix}.attn.bk"] = layer.bk
-            out[f"{prefix}.attn.wv"] = layer.wv
-            out[f"{prefix}.attn.bv"] = layer.bv
-            out[f"{prefix}.attn.wo"] = layer.wo
-            out[f"{prefix}.attn.bo"] = layer.bo
-            out[f"{prefix}.norm1.gain"] = layer.norm1_gain
-            out[f"{prefix}.norm1.bias"] = layer.norm1_bias
-            out[f"{prefix}.ff.w1"] = layer.w1
-            out[f"{prefix}.ff.b1"] = layer.b1
-            out[f"{prefix}.ff.w2"] = layer.w2
-            out[f"{prefix}.ff.b2"] = layer.b2
-            out[f"{prefix}.norm2.gain"] = layer.norm2_gain
-            out[f"{prefix}.norm2.bias"] = layer.norm2_bias
-        for name, dec in (("dec_reconstruct", self.reconstruct), ("dec_forecast", self.forecast)):
-            out[f"{name}.norm.gain"] = dec.norm_gain
-            out[f"{name}.norm.bias"] = dec.norm_bias
-            out[f"{name}.w1"] = dec.w1
-            out[f"{name}.b1"] = dec.b1
-            out[f"{name}.w2"] = dec.w2
-            out[f"{name}.b2"] = dec.b2
-        return out
+        return dict(self.params)
 
     def named_running_stats(self) -> dict:
         return dict(self.norm_states)
 
-    def encoder_parameter_names(self) -> list:
-        return [n for n in self.named_parameters() if not n.startswith("dec_")]
+    def _head(self, role: str) -> DecoderParams:
+        p = f"dec_{role}."
+        return DecoderParams(
+            role=role,
+            norm_gain=self.params[p + "norm.gain"],
+            norm_bias=self.params[p + "norm.bias"],
+            w1=self.params[p + "w1"],
+            b1=self.params[p + "b1"],
+            w2=self.params[p + "w2"],
+            b2=self.params[p + "b2"],
+        )
+
+    @property
+    def reconstruct(self) -> DecoderParams:
+        return self._head("reconstruct")
+
+    @property
+    def forecast(self) -> DecoderParams:
+        return self._head("forecast")
 
     @property
     def dtype(self):
-        return self.encoder.patch_proj_w.data.dtype
+        return self.params["patch_proj.w"].data.dtype
 
 
 def parameter_count(config: ModelConfig) -> int:
-    """Closed-form trainable-parameter count (running stats excluded).
+    """Trainable-parameter count (running statistics excluded)."""
+    return sum(math.prod(shape) for _, shape, _ in param_spec(config))
 
-    patch proj: l_patch*d + d; positions: (n+1)*d; summary token: d;
-    per layer: 4*(d*d + d) attention + 2*d norm + (d*d_ff + d_ff) +
-    (d_ff*d + d) feedforward + 2*d norm;
-    reconstruction head: 2*d + (d*h + h) + (h*o + o), o = n*l_patch, h = o/2;
-    forecast head: 2*d + (d*d + d) + (d*l_pred + l_pred).
-    """
-    d, dff = config.d_model, config.d_ff
-    n, lp = config.n_patches, config.l_patch
-    total = lp * d + d
-    total += (n + 1) * d
-    total += d
-    per_layer = 4 * (d * d + d) + 2 * d + (d * dff + dff) + (dff * d + d) + 2 * d
-    total += config.n_layers * per_layer
-    o = n * lp
-    h = o // 2
-    total += 2 * d + (d * h + h) + (h * o + o)
-    total += 2 * d + (d * d + d) + (d * config.l_pred + config.l_pred)
-    return total
+
+def _build(config: ModelConfig, dtype, fill) -> Model:
+    params = {
+        name: Tensor(fill(shape, init), requires_grad=True)
+        for name, shape, init in param_spec(config)
+    }
+    norm_states = {}
+    if config.norm_kind == "batch":
+        for i in range(config.n_layers):
+            norm_states[f"layers.{i}.norm1"] = NormState.initial(config.d_model, dtype)
+            norm_states[f"layers.{i}.norm2"] = NormState.initial(config.d_model, dtype)
+    return Model(config=config, params=params, norm_states=norm_states)
 
 
 def init_params(config: ModelConfig, dtype=np.float32) -> Model:
     """Build a freshly initialized model, deterministic given config.seed.
 
-    One seeded generator; weight draws are N(0, 0.02) in a fixed order —
-    patch projection, positional table, summary token, then per layer
-    (wq, wk, wv, wo, ff.w1, ff.w2), then reconstruction and forecast head
-    weights.  Biases start at zero, norm gains at one, running means/vars
-    at zero/one.
+    Walks :func:`param_spec`: each ``normal`` tensor is drawn from one
+    generator seeded with ``config.seed``, so draw order = spec order =
+    checkpoint order, with the zero and one tensors skipped.  Running
+    means/vars start at zero/one.
     """
     rng = np.random.default_rng(config.seed)
-    d = config.d_model
 
-    def draw(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape).astype(dtype), requires_grad=True)
+    def fill(shape, init):
+        if init == "normal":
+            return rng.normal(0.0, 0.02, size=shape).astype(dtype)
+        return {"zeros": np.zeros, "ones": np.ones}[init](shape, dtype=dtype)
 
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+    return _build(config, dtype, fill)
 
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
 
-    patch_proj_w = draw(config.l_patch, d)
-    pos_emb = draw(config.n_patches + 1, d)
-    seq_token = Tensor(rng.normal(0.0, 0.02, size=d).astype(dtype), requires_grad=True)
+def zeros_model(config: ModelConfig, dtype=np.float32) -> Model:
+    """The structure :func:`param_spec` implies with every parameter zero.
 
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerParams(
-            wq=draw(d, d), bq=zeros(d),
-            wk=draw(d, d), bk=zeros(d),
-            wv=draw(d, d), bv=zeros(d),
-            wo=draw(d, d), bo=zeros(d),
-            norm1_gain=ones(d), norm1_bias=zeros(d),
-            w1=draw(d, config.d_ff), b1=zeros(config.d_ff),
-            w2=draw(config.d_ff, d), b2=zeros(d),
-            norm2_gain=ones(d), norm2_bias=zeros(d),
-        ))
-    encoder = EncoderParams(
-        patch_proj_w=patch_proj_w,
-        patch_proj_b=zeros(d),
-        pos_emb=pos_emb,
-        seq_token=seq_token,
-        layers=layers,
-    )
-
-    o = config.reconstruct_out
-    h = config.reconstruct_hidden
-    reconstruct = DecoderParams(
-        role="reconstruct",
-        norm_gain=ones(d), norm_bias=zeros(d),
-        w1=draw(d, h), b1=zeros(h),
-        w2=draw(h, o), b2=zeros(o),
-    )
-    forecast = DecoderParams(
-        role="forecast",
-        norm_gain=ones(d), norm_bias=zeros(d),
-        w1=draw(d, d), b1=zeros(d),
-        w2=draw(d, config.l_pred), b2=zeros(config.l_pred),
-    )
-
-    norm_states = {}
-    if config.norm_kind == "batch":
-        for i in range(config.n_layers):
-            norm_states[f"layers.{i}.norm1"] = NormState.initial(d, dtype)
-            norm_states[f"layers.{i}.norm2"] = NormState.initial(d, dtype)
-
-    return Model(
-        config=config,
-        encoder=encoder,
-        reconstruct=reconstruct,
-        forecast=forecast,
-        norm_states=norm_states,
-    )
+    For callers that overwrite every tensor (checkpoint load, clone), so no
+    random numbers are drawn.
+    """
+    return _build(config, dtype, lambda shape, init: np.zeros(shape, dtype=dtype))
 
 
 def encode(
-    patches: Union[Tensor, PatchSequence, np.ndarray],
+    patches: Union[Tensor, np.ndarray],
     model: Model,
     mode: str = "train",
     taps: Optional[dict] = None,
@@ -303,8 +261,6 @@ def encode(
     pre-activations, keyed ``layers.{i}.ff.preact``) for inspection.
     """
     cfg = model.config
-    if isinstance(patches, PatchSequence):
-        patches = patches.patches
     if isinstance(patches, Tensor):
         x = patches
     else:
@@ -320,29 +276,30 @@ def encode(
             f"patch grid {n}x{lp} does not match config {cfg.n_patches}x{cfg.l_patch}"
         )
 
-    enc = model.encoder
-    h = linear(x, enc.patch_proj_w, enc.patch_proj_b)  # (B, n, d)
-    h = append_token(h, enc.seq_token)  # (B, n+1, d)
-    h = add(h, enc.pos_emb)  # every position, summary token included
+    p = model.params
+    h = linear(x, p["patch_proj.w"], p["patch_proj.b"])  # (B, n, d)
+    h = append_token(h, p["seq_token"])  # (B, n+1, d)
+    h = add(h, p["pos_emb"])  # every position, summary token included
 
-    for i, layer in enumerate(model.encoder.layers):
-        q = linear(h, layer.wq, layer.bq)
-        k = linear(h, layer.wk, layer.bk)
-        v = linear(h, layer.wv, layer.bv)
+    for i in range(cfg.n_layers):
+        layer = f"layers.{i}."
+        q = linear(h, p[layer + "attn.wq"], p[layer + "attn.bq"])
+        k = linear(h, p[layer + "attn.wk"], p[layer + "attn.bk"])
+        v = linear(h, p[layer + "attn.wv"], p[layer + "attn.bv"])
         attn = causal_attention(q, k, v, cfg.n_heads)
-        attn = linear(attn, layer.wo, layer.bo)
+        attn = linear(attn, p[layer + "attn.wo"], p[layer + "attn.bo"])
         attn = normalize(
-            attn, cfg.norm_kind, layer.norm1_gain, layer.norm1_bias,
-            state=model.norm_states.get(f"layers.{i}.norm1"), mode=mode,
+            attn, cfg.norm_kind, p[layer + "norm1.gain"], p[layer + "norm1.bias"],
+            state=model.norm_states.get(layer + "norm1"), mode=mode,
         )
         h = add(h, attn)
-        pre = linear(h, layer.w1, layer.b1)
+        pre = linear(h, p[layer + "ff.w1"], p[layer + "ff.b1"])
         if taps is not None:
-            taps[f"layers.{i}.ff.preact"] = pre
-        ff = linear(relu(pre), layer.w2, layer.b2)
+            taps[layer + "ff.preact"] = pre
+        ff = linear(relu(pre), p[layer + "ff.w2"], p[layer + "ff.b2"])
         ff = normalize(
-            ff, cfg.norm_kind, layer.norm2_gain, layer.norm2_bias,
-            state=model.norm_states.get(f"layers.{i}.norm2"), mode=mode,
+            ff, cfg.norm_kind, p[layer + "norm2.gain"], p[layer + "norm2.bias"],
+            state=model.norm_states.get(layer + "norm2"), mode=mode,
         )
         h = add(h, ff)
 

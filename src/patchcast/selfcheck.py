@@ -51,11 +51,7 @@ def clear_relu_kinks(model, forward_taps, margin=KINK_MARGIN, max_rounds=16):
     the loop re-measures after every adjustment round.  Returns the final
     minimum |pre-activation| across all taps.
     """
-    bias_for = {}
-    for i, layer in enumerate(model.encoder.layers):
-        bias_for[f"layers.{i}.ff.preact"] = layer.b1
-    bias_for["dec_reconstruct.preact"] = model.reconstruct.b1
-    bias_for["dec_forecast.preact"] = model.forecast.b1
+    params = model.named_parameters()
     for _ in range(max_rounds):
         taps = forward_taps()
         dirty = None
@@ -68,8 +64,10 @@ def clear_relu_kinks(model, forward_taps, margin=KINK_MARGIN, max_rounds=16):
         if dirty is None:
             break
         key, flat, bad = dirty
+        # each tap is the pre-activation "<block>.preact" of bias "<block>.b1"
+        bias = params[key.removesuffix("preact") + "b1"]
         for j in bad:
-            bias_for[key].data[j] += _clearing_shift(flat[:, j], margin)
+            bias.data[j] += _clearing_shift(flat[:, j], margin)
     taps = forward_taps()
     return min(float(np.abs(t.data).min()) for t in taps.values())
 

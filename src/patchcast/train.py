@@ -11,7 +11,11 @@ receive a gradient.
 
 Checkpoints are a little-endian binary format: magic ``OMGA``, a version
 word, the model config as key=value text, named float32 tensors (parameters
-plus batch-norm running statistics), and the training step count.
+plus batch-norm running statistics), and the training step count.  The
+tensors appear in ``param_spec`` order, then the running statistics.
+Loading builds the model straight from the spec with every value zero and
+writes each stored tensor into it exactly once; no random numbers are
+drawn.  ``clone_model`` builds its copy the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +37,15 @@ from .errors import (
     NumericError,
     TrainingDiverged,
 )
-from .model import Model, ModelConfig, decode_forecast, decode_reconstruct, encode, init_params
+from .model import (
+    Model,
+    ModelConfig,
+    decode_forecast,
+    decode_reconstruct,
+    encode,
+    init_params,
+    zeros_model,
+)
 from .numerics import (
     AdamWConfig,
     AdamWState,
@@ -142,13 +154,10 @@ def restore_snapshot(model: Model, snapshot: dict) -> None:
 
 def clone_model(model: Model) -> Model:
     """A structurally fresh model carrying bitwise-identical values."""
-    twin = init_params(model.config, dtype=model.dtype)
-    for name, p in twin.named_parameters().items():
-        p.data[...] = model.named_parameters()[name].data
-    src_stats = model.named_running_stats()
-    for name, st in twin.named_running_stats().items():
-        st.running_mean[...] = src_stats[name].running_mean
-        st.running_var[...] = src_stats[name].running_var
+    twin = zeros_model(model.config, dtype=model.dtype)
+    source = _checkpoint_tensors(model)
+    for name, arr in _checkpoint_tensors(twin).items():
+        arr[...] = source[name]
     return twin
 
 
@@ -405,7 +414,7 @@ def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
             f"checkpoint config does not match the requested one (differs in {diff})"
         )
 
-    model = init_params(config)
+    model = zeros_model(config)
     expected = _checkpoint_tensors(model)
     (count,) = r.unpack("<I", "tensor count")
     if count != len(expected):

@@ -15,14 +15,12 @@ from patchcast.data import (
     normalize_like,
     preprocess_slow_signal,
     save_series_csv,
-    segment_patches,
     sliding_windows,
     write_trace_csv,
 )
 from patchcast.errors import (
     ConfigError,
     DataError,
-    DivisibilityError,
     InsufficientDataError,
     NumericError,
     RateError,
@@ -148,32 +146,6 @@ class TestNormalize:
             ContextWindow(values=np.array([0.0, 1.5]), norm_min=0.0, norm_max=1.0)
 
 
-class TestSegmentPatches:
-    def test_counts(self):
-        w = minmax_normalize(np.arange(1024.0))
-        assert segment_patches(w, 64).n == 16
-        assert segment_patches(w, 128).n == 8
-
-    def test_divisibility_error_names_the_trim(self):
-        w = minmax_normalize(np.arange(100.0))
-        with pytest.raises(DivisibilityError, match="36 oldest"):
-            segment_patches(w, 64)
-
-    def test_concat_identity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            raw = rng.normal(size=96)
-            w = minmax_normalize(raw)
-            ps = segment_patches(w, 8)
-            assert_array_equal(ps.concatenate(), w.values)
-
-    def test_temporal_order(self):
-        w = minmax_normalize(np.arange(12.0))
-        ps = segment_patches(w, 4)
-        assert ps.patches[0, 0] == 0.0
-        assert ps.patches[2, 3] == 1.0
-
-
 class TestSlidingWindows:
     def test_two_window_example(self):
         spans = sliding_windows(1280, 1024, 128, 128)
@@ -249,6 +221,24 @@ class TestPreprocessSlowSignal:
         s = _series([0.0, 3.0, 0.0, 3.0, 0.0], rate=1.0)
         out = preprocess_slow_signal(s, target_hz=1.0, smooth_width=3)
         assert_allclose(out.values, [0.0, 1.0, 2.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("width", [3, 5, 7, 15])
+    def test_smoothing_matches_per_sample_loop(self, width):
+        def loop_reference(coarse, half):
+            cs = np.concatenate([[0.0], np.cumsum(coarse)])
+            out = np.empty_like(coarse)
+            n = len(coarse)
+            for i in range(n):
+                k = min(half, i, n - 1 - i)
+                out[i] = (cs[i + k + 1] - cs[i - k]) / (2 * k + 1)
+            return out
+
+        rng = np.random.default_rng(width)
+        for n in [*range(2, 60), 1000, 4097]:
+            raw = rng.normal(size=2 * n)
+            out = preprocess_slow_signal(_series(raw, rate=2.0), target_hz=1.0, smooth_width=width)
+            coarse = raw.reshape(-1, 2).mean(axis=1)
+            assert out.values.tobytes() == loop_reference(coarse, width // 2).tobytes(), n
 
     def test_non_integral_factor(self):
         s = _series(np.zeros(100), rate=10.0)

@@ -306,7 +306,7 @@ class TestFreeze:
 
     def test_nan_in_frozen_encoder_diverges_at_step_zero(self, pool, target):
         model = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
-        model.encoder.layers[0].wq.data[0, 0] = np.nan
+        model.named_parameters()["layers.0.attn.wq"].data[0, 0] = np.nan
         cfg = TrainConfig(steps=4, batch_size=4, seed=1, target_mode="finetune_forecast")
         with pytest.raises(TrainingDiverged) as info:
             finetune(model, target, cfg)
@@ -316,7 +316,7 @@ class TestFreeze:
     def test_nan_in_frozen_encoder_diverges_with_debug_checks_off(self, pool, target):
         # with no per-op scans, the NaN must still reach the loss through ReLU
         model = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
-        model.encoder.layers[0].wq.data[0, 0] = np.nan
+        model.named_parameters()["layers.0.attn.wq"].data[0, 0] = np.nan
         cfg = TrainConfig(steps=4, batch_size=4, seed=1, target_mode="finetune_forecast")
         with debug_checks(False), pytest.raises(TrainingDiverged) as info:
             finetune(model, target, cfg)
