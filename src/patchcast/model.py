@@ -19,6 +19,11 @@ The parameter set is stated once, in :func:`param_spec`: an ordered list of
 it, so draw order = spec order = checkpoint order.  The layers read their
 weights from the registry by name; the decoder heads are handed out as
 :class:`DecoderParams` views over the same tensors.
+
+All parameters live in one flat arena: ``Model.arena`` is a single 1-D
+buffer, and each tensor's ``.data`` is a reshaped view of its slice, in spec
+order.  The optimizer updates the arena (or, for one decoder head, its
+contiguous slice) in one pass, and a clone or snapshot is one flat copy.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .numerics import (
     relu,
     reshape,
     select_position,
+    tile,
 )
 from .numerics.ops import NORM_KINDS
 
@@ -161,14 +167,16 @@ class DecoderParams:
 
 @dataclass
 class Model:
-    """Config, the parameter registry, and batch-norm running statistics.
+    """Config, the parameter registry, its arena, and batch-norm statistics.
 
     ``params`` maps each name of :func:`param_spec` to its tensor, in spec
-    order.
+    order; every tensor's ``.data`` is a view of ``arena``, and the views
+    tile it back to back in that order.
     """
 
     config: ModelConfig
     params: dict
+    arena: np.ndarray
     norm_states: dict = field(default_factory=dict)
 
     def named_parameters(self) -> dict:
@@ -199,7 +207,7 @@ class Model:
 
     @property
     def dtype(self):
-        return self.params["patch_proj.w"].data.dtype
+        return self.arena.dtype
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -207,44 +215,48 @@ def parameter_count(config: ModelConfig) -> int:
     return sum(math.prod(shape) for _, shape, _ in param_spec(config))
 
 
-def _build(config: ModelConfig, dtype, fill) -> Model:
+def _build(config: ModelConfig, dtype) -> Model:
+    spec = param_spec(config)
+    arena = np.zeros(parameter_count(config), dtype)
+    views = tile(arena, [shape for _, shape, _ in spec])
     params = {
-        name: Tensor(fill(shape, init), requires_grad=True)
-        for name, shape, init in param_spec(config)
+        name: Tensor(view, requires_grad=True) for (name, _, _), view in zip(spec, views)
     }
     norm_states = {}
     if config.norm_kind == "batch":
         for i in range(config.n_layers):
             norm_states[f"layers.{i}.norm1"] = NormState.initial(config.d_model, dtype)
             norm_states[f"layers.{i}.norm2"] = NormState.initial(config.d_model, dtype)
-    return Model(config=config, params=params, norm_states=norm_states)
+    return Model(config=config, params=params, arena=arena, norm_states=norm_states)
 
 
 def init_params(config: ModelConfig, dtype=np.float32) -> Model:
     """Build a freshly initialized model, deterministic given config.seed.
 
-    Walks :func:`param_spec`: each ``normal`` tensor is drawn from one
-    generator seeded with ``config.seed``, so draw order = spec order =
-    checkpoint order, with the zero and one tensors skipped.  Running
-    means/vars start at zero/one.
+    Walks :func:`param_spec` over a zero arena: each ``normal`` tensor is
+    drawn from one generator seeded with ``config.seed`` and written into its
+    view, so draw order = spec order = checkpoint order; ``ones`` tensors are
+    filled and ``zeros`` tensors left as they are.  Running means/vars start
+    at zero/one.
     """
+    model = _build(config, dtype)
     rng = np.random.default_rng(config.seed)
-
-    def fill(shape, init):
+    for name, shape, init in param_spec(config):
+        view = model.params[name].data
         if init == "normal":
-            return rng.normal(0.0, 0.02, size=shape).astype(dtype)
-        return {"zeros": np.zeros, "ones": np.ones}[init](shape, dtype=dtype)
-
-    return _build(config, dtype, fill)
+            view[...] = rng.normal(0.0, 0.02, size=shape)
+        elif init == "ones":
+            view.fill(1)
+    return model
 
 
 def zeros_model(config: ModelConfig, dtype=np.float32) -> Model:
     """The structure :func:`param_spec` implies with every parameter zero.
 
-    For callers that overwrite every tensor (checkpoint load, clone), so no
-    random numbers are drawn.
+    For callers that overwrite every tensor (checkpoint load, clone): one
+    zero-filled arena, no random numbers drawn, nothing written.
     """
-    return _build(config, dtype, lambda shape, init: np.zeros(shape, dtype=dtype))
+    return _build(config, dtype)
 
 
 def encode(

@@ -166,43 +166,8 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     return out
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all elements; the gradient is all ones."""
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype))
-    shape, dt = x.shape, x.data.dtype
-
-    def bwd(dout, needs):
-        return (np.full(shape, dout, dtype=dt) if needs[0] else None,)
-
-    _record("sum_all", (x,), out, bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# softmax / attention
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Row-stable softmax over the last axis.
-
-    The row max is subtracted before exponentiation, so arbitrarily large
-    finite inputs are safe; -inf inputs get exactly zero weight.
-    """
-    if x.data.ndim < 1 or x.shape[-1] < 1:
-        raise ShapeError(f"softmax needs a non-empty last axis, got {x.shape}")
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def bwd(dout, needs):
-        if not needs[0]:
-            return (None,)
-        inner = (dout * y).sum(axis=-1, keepdims=True)
-        return (y * (dout - inner),)
-
-    _record("softmax_lastdim", (x,), out, bwd)
-    return out
+# attention
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:

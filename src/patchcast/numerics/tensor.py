@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -209,6 +210,20 @@ def backward(tape: Tape, loss: Tensor) -> None:
             t.grad = g if t.grad is None else t.grad + g
         if not rec.output.requires_grad:
             rec.output.grad = None  # free the intermediate
+
+
+def tile(buf: np.ndarray, shapes) -> list:
+    """Views of consecutive slices of the 1-D ``buf``, reshaped one per shape.
+
+    Writing through a view writes ``buf``; the views cover ``buf`` from its
+    first element on, in order, with no gap.
+    """
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(buf[start:stop].reshape(shape))
+        start = stop
+    return views
 
 
 def zero_grads(params) -> None:

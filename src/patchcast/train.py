@@ -7,7 +7,16 @@ structural — frozen tensors are simply never handed to the optimizer, and
 the encoder runs in infer mode so batch-norm running statistics stay put.
 A frozen encoder also runs off the tape: it leaves no records, the reverse
 sweep covers only the decoder heads and the loss, and frozen tensors never
-receive a gradient.
+receive a gradient.  The head a finetune does not train runs off the tape
+as well; its loss only fills its ``curve.csv`` column.
+
+The trainable set is one flat buffer: the model's whole arena for pretrain
+and target training, the contiguous ``dec_{head}.`` slice of it for a
+finetune.  The optimizer updates that buffer in one blocked pass.  The
+salvage copy the loop keeps for :class:`TrainingDiverged` is one copy of the
+buffer plus the running statistics into a buffer allocated once; each eval
+snapshot is one such copy into a fresh buffer.  Both are handed out as
+name -> view dicts that ``restore_snapshot`` writes back.
 
 Checkpoints are a little-endian binary format: magic ``OMGA``, a version
 word, the model config as key=value text, named float32 tensors (parameters
@@ -15,7 +24,7 @@ plus batch-norm running statistics), and the training step count.  The
 tensors appear in ``param_spec`` order, then the running statistics.
 Loading builds the model straight from the spec with every value zero and
 writes each stored tensor into it exactly once; no random numbers are
-drawn.  ``clone_model`` builds its copy the same way.
+drawn.  ``clone_model`` copies the arena in one go into such a model.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ from .numerics import (
     backward,
     mse,
     scale,
+    tile,
     zero_grads,
 )
 
@@ -122,42 +132,43 @@ class TrainResult:
     snapshots: list  # of (step, {name: ndarray}) for the trainable set
 
 
-def _snapshot(params: dict, model: Model) -> dict:
-    """Copy the trainable tensors plus every running statistic.
+class _Snapshots:
+    """Flat copies of the trainable buffer plus every running statistic.
 
     Statistics ride along even when the encoder is frozen (they are then
-    constant) so a snapshot is always restorable on its own.
+    constant) so a snapshot is always restorable on its own.  Taking one is a
+    single ``np.concatenate`` into one flat buffer, handed out as a
+    name -> view dict in the layout ``restore_snapshot`` reads.
     """
-    snap = {name: p.data.copy() for name, p in params.items()}
-    for name, st in model.named_running_stats().items():
-        snap[name + ".running_mean"] = st.running_mean.copy()
-        snap[name + ".running_var"] = st.running_var.copy()
-    return snap
+
+    def __init__(self, trainable: dict, flat: np.ndarray, model: Model):
+        stats = _running_stats(model)
+        self.parts = [flat] + [a.reshape(-1) for a in stats.values()]
+        self.names = list(trainable) + list(stats)
+        self.shapes = [p.shape for p in trainable.values()] + [a.shape for a in stats.values()]
+
+    def take(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """A flat copy, written into ``out`` when one is given."""
+        return np.concatenate(self.parts, out=out)
+
+    def views(self, buf: np.ndarray) -> dict:
+        return dict(zip(self.names, tile(buf, self.shapes)))
 
 
 def restore_snapshot(model: Model, snapshot: dict) -> None:
     """Write a snapshot back into the matching parameters and statistics."""
-    params = model.named_parameters()
-    stats = model.named_running_stats()
+    targets = _checkpoint_tensors(model)
     for name, values in snapshot.items():
-        if name.endswith((".running_mean", ".running_var")):
-            base, _, kind = name.rpartition(".running_")
-            if base not in stats:
-                raise ConfigError(f"snapshot names unknown statistic {name!r}")
-            target = stats[base].running_mean if kind == "mean" else stats[base].running_var
-            target[...] = values
-        elif name in params:
-            params[name].data[...] = values
-        else:
-            raise ConfigError(f"snapshot names unknown parameter {name!r}")
+        if name not in targets:
+            raise ConfigError(f"snapshot names unknown tensor {name!r}")
+        targets[name][...] = values
 
 
 def clone_model(model: Model) -> Model:
     """A structurally fresh model carrying bitwise-identical values."""
     twin = zeros_model(model.config, dtype=model.dtype)
-    source = _checkpoint_tensors(model)
-    for name, arr in _checkpoint_tensors(twin).items():
-        arr[...] = source[name]
+    np.copyto(twin.arena, model.arena)
+    twin.norm_states = {name: st.copy() for name, st in model.norm_states.items()}
     return twin
 
 
@@ -173,11 +184,18 @@ def _run_loop(
     opt = AdamWState.initial(
         trainable, AdamWConfig(lr=cfg.lr, weight_decay=cfg.weight_decay)
     )
+    snaps = _Snapshots(trainable, opt.flat, model)
     rng = np.random.default_rng(cfg.seed)
     wf, wr = cfg.loss_weight_forecast, cfg.loss_weight_reconstruct
     curve: list = []
     snapshots: list = []
-    last_finite: Optional[dict] = None
+    last_finite: Optional[np.ndarray] = None  # reused every step
+
+    def forecast_loss(z, batch):
+        return mse(decode_forecast(z, model.forecast), Tensor(batch.forecast_targets))
+
+    def reconstruct_loss(z, batch):
+        return mse(decode_reconstruct(z, model.reconstruct), Tensor(batch.reconstruction_targets))
 
     for step in range(cfg.steps):
         batch = make_batch(
@@ -192,28 +210,31 @@ def _run_loop(
             with Tape() as tape:
                 if encoder_mode != "infer":
                     _, z = encode(x, model, mode=encoder_mode)
-                f_loss = mse(decode_forecast(z, model.forecast), Tensor(batch.forecast_targets))
-                r_loss = mse(
-                    decode_reconstruct(z, model.reconstruct), Tensor(batch.reconstruction_targets)
-                )
                 if loss_heads == "dual":
+                    f_loss, r_loss = forecast_loss(z, batch), reconstruct_loss(z, batch)
                     total = add(scale(f_loss, wf), scale(r_loss, wr))
                 elif loss_heads == "forecast":
-                    total = f_loss
+                    total = f_loss = forecast_loss(z, batch)
                 else:
-                    total = r_loss
-                f_v, r_v, t_v = f_loss.item(), r_loss.item(), total.item()
-                if not np.isfinite(t_v):
-                    raise NumericError(f"non-finite loss at step {step}")
-                last_finite = _snapshot(trainable, model)
-                backward(tape, total)
+                    total = r_loss = reconstruct_loss(z, batch)
+            # the head a finetune leaves alone runs off the tape too: its loss
+            # only fills its curve column
+            if loss_heads == "forecast":
+                r_loss = reconstruct_loss(z, batch)
+            elif loss_heads == "reconstruct":
+                f_loss = forecast_loss(z, batch)
+            f_v, r_v, t_v = f_loss.item(), r_loss.item(), total.item()
+            if not np.isfinite(t_v):
+                raise NumericError(f"non-finite loss at step {step}")
+            last_finite = snaps.take(last_finite)
+            backward(tape, total)
         except NumericError as exc:
             # non-finite values anywhere in the step mean the run is lost;
             # hand back the last parameters that still produced a finite loss
             raise TrainingDiverged(
                 f"training diverged at step {step}: {exc}",
                 step=step,
-                last_finite_params=last_finite,
+                last_finite_params=None if last_finite is None else snaps.views(last_finite),
                 curve=curve,
             ) from exc
         adamw_step(trainable, opt)
@@ -221,7 +242,7 @@ def _run_loop(
         curve.append(LossRecord(step, t_v, f_v, r_v))
         if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
             if not snapshots or snapshots[-1][0] != step:
-                snapshots.append((step, _snapshot(trainable, model)))
+                snapshots.append((step, snaps.views(snaps.take())))
         if (step + 1) % max(1, cfg.steps // 10) == 0:
             log.info("step %d/%d loss %.6f", step + 1, cfg.steps, t_v)
     return TrainResult(model=model, curve=curve, snapshots=snapshots)
@@ -261,10 +282,11 @@ def finetune(
 
     The encoder runs in infer mode (running statistics untouched) and its
     tensors are excluded from the optimizer, so freezing holds bitwise.  It
-    also runs before the tape opens: the tape records only the decoder heads
-    and the loss, backward sweeps those records alone, and no frozen tensor
-    receives a ``.grad``.  A non-finite value in the frozen encoder still
-    surfaces as :class:`TrainingDiverged`.
+    also runs before the tape opens, and so does the head that is not
+    trained: the tape records only the trained head and its loss, backward
+    sweeps those records alone, and no frozen tensor receives a ``.grad``.
+    A non-finite value in the frozen encoder still surfaces as
+    :class:`TrainingDiverged`.
     """
     if train_config.target_mode not in ("finetune_forecast", "finetune_reconstruct"):
         raise ConfigError(
@@ -311,11 +333,18 @@ def write_curve_csv(path, curve: Sequence[LossRecord]) -> None:
 # checkpoint format
 
 
+def _running_stats(model: Model) -> dict:
+    """Every batch-norm running statistic under its checkpoint name."""
+    stats = {}
+    for name, state in model.named_running_stats().items():
+        stats[f"{name}.running_mean"] = state.running_mean
+        stats[f"{name}.running_var"] = state.running_var
+    return stats
+
+
 def _checkpoint_tensors(model: Model) -> dict:
     tensors = {name: p.data for name, p in model.named_parameters().items()}
-    for name, state in model.named_running_stats().items():
-        tensors[f"{name}.running_mean"] = state.running_mean
-        tensors[f"{name}.running_var"] = state.running_var
+    tensors.update(_running_stats(model))
     return tensors
 
 
@@ -341,7 +370,7 @@ def save_checkpoint(model: Model, path, step: int = 0) -> None:
         out += encoded
         out += struct.pack("<B", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        out += memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B")
     out += struct.pack("<Q", step)
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -439,10 +468,10 @@ def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
             )
         n_items = int(np.prod(shape, dtype=np.int64)) if rank else 1
         payload = r.take(4 * n_items, f"payload of {name}")
-        values = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
-        if not np.all(np.isfinite(values)):
+        target = expected[name]
+        target[...] = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        if not np.all(np.isfinite(target)):
             raise CheckpointCorruptError(f"tensor {name!r} holds non-finite values")
-        expected[name][...] = values
     (step,) = r.unpack("<Q", "step counter")
     if r.pos != len(buf):
         raise CheckpointCorruptError(

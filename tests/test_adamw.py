@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from patchcast.errors import ContractError
+from patchcast.model import ModelConfig, init_params
 from patchcast.numerics import AdamWConfig, AdamWState, Tensor, adamw_step
 
 # one step from theta=1 with grad 1 at the default hyperparameters:
@@ -110,3 +111,80 @@ def test_disjoint_param_groups_step_independently():
     assert sa.step == 2
     assert sb.step == 1
     assert a["w"].data[0] != b["w"].data[0]
+
+
+def reference_step(params, m, v, t, cfg):
+    """The per-tensor update: each tensor's own temporaries, one at a time."""
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    for name, (data, g) in params.items():
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * (g * g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        data -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * data)
+
+
+FLAGSHIP = ModelConfig(l_patch=64, n_patches=16, d_model=64, n_layers=6, n_heads=4,
+                       d_ff=256, l_pred=128, norm_kind="batch", seed=0)
+SMALL = ModelConfig(l_patch=8, n_patches=8, d_model=16, n_layers=2, n_heads=2, d_ff=24,
+                    l_pred=16, seed=3)
+
+
+@pytest.mark.parametrize("cfg, dtype", [(FLAGSHIP, np.float32), (SMALL, np.float64)],
+                         ids=["flagship-float32", "small-float64"])
+def test_blocked_step_matches_per_tensor_loop(cfg, dtype):
+    # the flagship arena spans several blocks and ends in a partial one
+    params = init_params(cfg, dtype=dtype).named_parameters()
+    opt_cfg = AdamWConfig(lr=3e-3, weight_decay=0.05)
+    state = AdamWState.initial(params, opt_cfg)
+    ref = {n: (p.data.copy(), None) for n, p in params.items()}
+    m = {n: np.zeros_like(p.data) for n, p in params.items()}
+    v = {n: np.zeros_like(p.data) for n, p in params.items()}
+    rng = np.random.default_rng(5)
+    for t in range(1, 6):
+        for name, p in params.items():
+            p.grad = rng.normal(0.0, 0.1, size=p.shape).astype(dtype)
+            ref[name] = (ref[name][0], p.grad.copy())
+        adamw_step(params, state)
+        reference_step(ref, m, v, t, opt_cfg)
+    for name, p in params.items():
+        assert_array_equal(p.data, ref[name][0], err_msg=name)
+    assert_array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+    assert_array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
+
+
+def test_mixed_dtypes_rejected():
+    params = {
+        "a": Tensor([1.0], requires_grad=True, dtype=np.float32),
+        "b": Tensor([1.0], requires_grad=True, dtype=np.float64),
+    }
+    with pytest.raises(ContractError, match="float32.*float64"):
+        AdamWState.initial(params)
+
+
+def test_free_standing_tensors_are_packed_into_one_buffer():
+    params = {"a": Tensor([1.0, 2.0], requires_grad=True), "b": Tensor([[3.0]], requires_grad=True)}
+    state = AdamWState.initial(params)
+    assert_array_equal(state.flat, [1.0, 2.0, 3.0])
+    assert params["a"].data.base is state.flat and params["b"].data.base is state.flat
+    assert params["b"].shape == (1, 1)
+
+
+def test_step_must_cover_the_state_set():
+    params = {"a": Tensor([1.0], requires_grad=True), "b": Tensor([2.0], requires_grad=True)}
+    state = AdamWState.initial(params)
+    params["a"].grad = np.ones(1, dtype=np.float32)
+    with pytest.raises(ContractError, match="1 of the 2"):
+        adamw_step({"a": params["a"]}, state)
+
+
+def test_rebound_tensor_rejected():
+    params = {"w": Tensor([1.0], requires_grad=True)}
+    state = AdamWState.initial(params)
+    params["w"].data = np.array([1.0], dtype=np.float32)
+    params["w"].grad = np.ones(1, dtype=np.float32)
+    with pytest.raises(ContractError, match="no longer lives"):
+        adamw_step(params, state)

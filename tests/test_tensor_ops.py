@@ -22,8 +22,6 @@ from patchcast.numerics import (
     reshape,
     scale,
     select_position,
-    softmax_lastdim,
-    sum_all,
 )
 
 
@@ -133,38 +131,6 @@ class TestLinear:
         w[1, 2] = np.nan
         with debug_checks(True), pytest.raises(NumericError, match="linear"):
             linear(Tensor(np.ones((2, 5, 4), np.float32)), Tensor(w), Tensor(np.zeros(3, np.float32)))
-
-
-class TestSoftmax:
-    def test_two_point_logits(self):
-        out = softmax_lastdim(Tensor([0.0, np.log(3.0)], dtype=np.float64))
-        assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
-
-    def test_large_equal_inputs_are_stable(self):
-        out = softmax_lastdim(Tensor([1000.0, 1000.0]))
-        assert np.all(np.isfinite(out.data))
-        assert_allclose(out.data, [0.5, 0.5])
-
-    def test_single_element_row(self):
-        assert_allclose(softmax_lastdim(Tensor([[4.2]])).data, [[1.0]])
-
-    def test_neg_inf_gets_zero_weight(self):
-        out = softmax_lastdim(Tensor([0.0, -np.inf], dtype=np.float64))
-        assert out.data[1] == 0.0
-        assert out.data[0] == 1.0
-
-    def test_rows_sum_to_one_and_shift_invariance(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            x = rng.normal(scale=5.0, size=(3, 7))
-            y = softmax_lastdim(Tensor(x, dtype=np.float64)).data
-            assert_allclose(y.sum(axis=-1), np.ones(3), atol=1e-12)
-            shifted = softmax_lastdim(Tensor(x + 100.0, dtype=np.float64)).data
-            assert_allclose(shifted, y, atol=1e-12)
-
-    def test_empty_last_axis_rejected(self):
-        with pytest.raises(ShapeError):
-            softmax_lastdim(Tensor(np.ones((2, 0))))
 
 
 class TestNormalize:
@@ -320,9 +286,6 @@ class TestPlumbing:
         assert reshape(x, (3, 4)).shape == (3, 4)
         with pytest.raises(ShapeError):
             reshape(x, (5, 2))
-
-    def test_sum_all(self):
-        assert sum_all(Tensor(np.ones((3, 4)))).item() == 12.0
 
     def test_append_token(self):
         x = Tensor(np.zeros((2, 3, 4), np.float32))

@@ -16,7 +16,14 @@ from patchcast.errors import (
     TrainingDiverged,
 )
 from patchcast.eval import split_series
-from patchcast.model import ModelConfig, decode_forecast, decode_reconstruct, encode, init_params
+from patchcast.model import (
+    ModelConfig,
+    decode_forecast,
+    decode_reconstruct,
+    encode,
+    init_params,
+    param_spec,
+)
 from patchcast.numerics import (
     AdamWConfig,
     AdamWState,
@@ -25,9 +32,11 @@ from patchcast.numerics import (
     adamw_step,
     backward,
     debug_checks,
+    grad_check,
     mse,
     zero_grads,
 )
+from patchcast.selfcheck import clear_relu_kinks, dual_loss_setup
 from patchcast.synth import PhenomenonSpec, generate_quantity
 from patchcast.train import (
     TrainConfig,
@@ -367,8 +376,97 @@ class TestTapeCensus:
             model, target, TrainConfig(steps=1, batch_size=4, seed=1, target_mode="finetune_forecast")
         )
         (tape,) = tapes
-        assert len(tape) == 10
-        assert self.ops_of(tape)["linear"] == 4
+        # the trained head only: layer_norm, linear, relu, linear, mse
+        assert len(tape) == 5
+        assert self.ops_of(tape)["linear"] == 2
+
+
+def assert_tiles_arena(model):
+    """Every parameter is a view of the model's arena, back to back in spec order."""
+    arena, params = model.arena, model.named_parameters()
+    assert list(params) == [name for name, _, _ in param_spec(model.config)]
+    offset = 0
+    for name, p in params.items():
+        assert p.data.base is arena, name
+        assert p.data.flags.c_contiguous, name
+        assert p.data.ctypes.data == arena.ctypes.data + offset * arena.itemsize, name
+        offset += p.data.size
+    assert offset == arena.size
+
+
+class TestArena:
+    @pytest.fixture(scope="class")
+    def base(self, pool):
+        return pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
+
+    @pytest.mark.parametrize(
+        "made_by", ["init", "load", "clone", "pretrain", "finetune", "restore", "selfcheck"]
+    )
+    def test_parameters_tile_the_arena(self, base, pool, target, tmp_path, made_by):
+        if made_by == "init":
+            model = init_params(small_config())
+        elif made_by == "load":
+            save_checkpoint(base, tmp_path / "m.omg")
+            model, _ = load_checkpoint(tmp_path / "m.omg")
+        elif made_by == "clone":
+            model = clone_model(base)
+        elif made_by == "pretrain":
+            model = base
+        elif made_by == "finetune":
+            cfg = TrainConfig(steps=3, batch_size=4, seed=1, target_mode="finetune_reconstruct")
+            model = finetune(clone_model(base), target, cfg).model
+        elif made_by == "restore":
+            res = pretrain(pool, small_config(), TrainConfig(steps=4, batch_size=4, seed=3, eval_every=2))
+            restore_snapshot(res.model, res.snapshots[0][1])
+            model = res.model
+        else:
+            model, forward = dual_loss_setup("batch", "train")
+            clear_relu_kinks(model, lambda: forward()[1])
+            grad_check(lambda: forward()[0], model.named_parameters())
+        assert_tiles_arena(model)
+
+    def test_copies_share_no_memory_with_the_source(self, base, pool, tmp_path):
+        save_checkpoint(base, tmp_path / "m.omg")
+        loaded, _ = load_checkpoint(tmp_path / "m.omg")
+        for copy in (clone_model(base), loaded):
+            assert not np.shares_memory(copy.arena, base.arena)
+            for name, st in copy.named_running_stats().items():
+                src = base.named_running_stats()[name]
+                assert not np.shares_memory(st.running_mean, src.running_mean), name
+                assert not np.shares_memory(st.running_var, src.running_var), name
+
+        res = pretrain(pool, small_config(), TrainConfig(steps=4, batch_size=4, seed=3, eval_every=2))
+        arrays = [res.model.arena] + [
+            a for st in res.model.named_running_stats().values()
+            for a in (st.running_mean, st.running_var)
+        ]
+        (_, first), (_, second) = res.snapshots
+        for name, values in first.items():
+            assert not any(np.shares_memory(values, a) for a in arrays), name
+            assert not np.shares_memory(values, second[name]), name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_last_finite_snapshot_shares_no_memory(self, pool, monkeypatch):
+        built = []
+        real_init = train_mod.init_params
+        monkeypatch.setattr(
+            train_mod, "init_params", lambda *a, **kw: built.append(real_init(*a, **kw)) or built[-1]
+        )
+        with pytest.raises(TrainingDiverged) as info:
+            pretrain(pool, small_config(), TrainConfig(steps=60, batch_size=4, lr=1e3, seed=3))
+        assert info.value.step > 2  # the salvage buffer was overwritten in place more than once
+        (model,) = built
+        live = [model.arena] + [
+            a for st in model.named_running_stats().values() for a in (st.running_mean, st.running_var)
+        ]
+        salvage = info.value.last_finite_params
+        assert set(salvage) == set(train_mod._checkpoint_tensors(model))
+        for name, values in salvage.items():
+            assert np.all(np.isfinite(values)), name
+            assert not any(np.shares_memory(values, a) for a in live), name
+        # it holds the last finite step's values, not the first step's
+        first = init_params(small_config()).named_parameters()["patch_proj.w"].data
+        assert not np.array_equal(salvage["patch_proj.w"], first)
 
 
 class TestCurveCsv:
