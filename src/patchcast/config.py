@@ -65,13 +65,11 @@ class RunConfig:
 
     def flat(self) -> dict:
         out = {}
-        for section, obj in self._sections().items():
+        for section in _SECTIONS:
+            obj = getattr(self, section)
             for f in fields(obj):
                 out[f"{section}.{f.name}"] = getattr(obj, f.name)
         return out
-
-    def _sections(self) -> dict:
-        return {"model": self.model, "train": self.train, "eval": self.eval, "synth": self.synth}
 
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "eval": EvalSettings, "synth": SynthSettings}
@@ -90,8 +88,6 @@ def _coerce(key: str, raw, default) -> object:
     if not isinstance(raw, str):
         return raw  # already typed (programmatic override)
     try:
-        if isinstance(default, bool):  # none today, but bool is an int subclass
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):

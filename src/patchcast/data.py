@@ -3,12 +3,15 @@
 Every context window is normalized to [0, 1] with its own min/max; the same
 affine map is applied to that window's forecast target (which may therefore
 leave [0, 1] — never clipped).  Constant windows map to 0.5 everywhere.
+``normalize_rows`` is the one implementation of that map: it works on a
+block of rows, one window (context then target) per row, and training
+batches, eval sweeps and the single-window ``minmax_normalize`` all call it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -78,15 +81,13 @@ class Batch:
     """B normalized windows as patches, plus forecast/reconstruction targets.
 
     inputs: (B, n, l_patch); forecast_targets: (B, l_pred) in each window's
-    context scale (not clipped); reconstruction_targets: (B, W) equal to the
-    flattened inputs.  ``windows`` keeps one ContextWindow per item for later
-    denormalization.
+    context scale (not clipped); reconstruction_targets: (B, W), the inputs
+    flattened (the same read-only float32 buffer).
     """
 
     inputs: np.ndarray
     forecast_targets: np.ndarray
     reconstruction_targets: np.ndarray
-    windows: tuple = field(repr=False, default=())
 
     def __post_init__(self):
         b, n, lp = self.inputs.shape
@@ -116,6 +117,25 @@ class WindowSpan:
 # normalization
 
 
+def normalize_rows(raw, W: int) -> tuple:
+    """Min-max map each row of a (N, >= W) block by its first W samples.
+
+    Returns (rows, lo, hi) with rows = (raw - lo) / (hi - lo) row by row, so
+    samples past the first W (a forecast target) share their context's map
+    and may leave [0, 1]; they are never clipped.  A row whose context is
+    constant maps to 0.5 everywhere.  ``lo`` and ``hi`` are each row's
+    context minimum and maximum.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    lo = raw[:, :W].min(axis=1)
+    hi = raw[:, :W].max(axis=1)
+    flat = hi <= lo
+    rows = raw - lo[:, None]
+    rows /= np.where(flat, 1.0, hi - lo)[:, None]
+    rows[flat] = 0.5
+    return rows, lo, hi
+
+
 def minmax_normalize(window, source_offset: int = 0) -> ContextWindow:
     """Affine-map a raw window onto [0,1]; constant windows go to all-0.5."""
     v = np.asarray(window, dtype=np.float64)
@@ -123,27 +143,10 @@ def minmax_normalize(window, source_offset: int = 0) -> ContextWindow:
         raise DataError("cannot normalize an empty window")
     if not np.all(np.isfinite(v)):
         raise NumericError("window contains non-finite values")
-    lo = float(v.min())
-    hi = float(v.max())
-    if hi > lo:
-        out = (v - lo) / (hi - lo)
-    else:
-        out = np.full_like(v, 0.5)
-    return ContextWindow(values=out, norm_min=lo, norm_max=hi, source_offset=source_offset)
-
-
-def normalize_like(values, window: ContextWindow) -> np.ndarray:
-    """Apply a window's affine map to other values (e.g. its forecast target).
-
-    Results may leave [0,1] and are deliberately not clipped.  For a constant
-    window the map is degenerate; every value goes to the 0.5 midpoint, the
-    same convention the window itself uses.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    span = window.norm_max - window.norm_min
-    if span <= 0.0:
-        return np.full_like(v, 0.5)
-    return (v - window.norm_min) / span
+    rows, lo, hi = normalize_rows(v.reshape(1, -1), v.size)
+    return ContextWindow(
+        values=rows[0], norm_min=float(lo[0]), norm_max=float(hi[0]), source_offset=source_offset
+    )
 
 
 def denormalize(values, window: ContextWindow) -> np.ndarray:
@@ -253,25 +256,17 @@ def make_batch(pool: Sequence[TimeSeries], count: int, W: int, H: int, l_patch: 
         raise InsufficientDataError(
             f"no series in the pool admits a window of {W}+{H} samples"
         )
-    n = W // l_patch
-    inputs = np.empty((count, n, l_patch), dtype=np.float32)
-    fore = np.empty((count, H), dtype=np.float32)
-    recon = np.empty((count, W), dtype=np.float32)
-    windows = []
-    for b in range(count):
+    block = np.empty((count, W + H))
+    for row in block:
         s = admissible[int(gen.integers(len(admissible)))]
         o = int(gen.integers(len(s.values) - W - H + 1))
-        win = minmax_normalize(s.values[o : o + W], source_offset=o)
-        target = normalize_like(s.values[o + W : o + W + H], win)
-        inputs[b] = win.values.reshape(n, l_patch)
-        fore[b] = target
-        recon[b] = win.values
-        windows.append(win)
+        row[:] = s.values[o : o + W + H]
+    rows, _, _ = normalize_rows(block, W)
+    context = rows[:, :W].astype(np.float32)
     return Batch(
-        inputs=inputs,
-        forecast_targets=fore,
-        reconstruction_targets=recon,
-        windows=tuple(windows),
+        inputs=context.reshape(count, W // l_patch, l_patch),
+        forecast_targets=rows[:, W:].astype(np.float32),
+        reconstruction_targets=context,
     )
 
 

@@ -5,6 +5,10 @@ is min-max mapped onto [0,1] and the ground truth is pushed through the same
 affine map, so scores are comparable across signals of wildly different
 physical magnitude.  Denormalized traces are available for inspection via the
 ``on_window`` hook, but the metric itself is always normalized.
+
+A sweep handles its windows as one block: every window is a row, normalized
+by ``data.normalize_rows``, and the model MSE and both baselines are row
+reductions over that block.
 """
 
 import hashlib
@@ -15,13 +19,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import (
-    TimeSeries,
-    minmax_normalize,
-    normalize_like,
-    sliding_windows,
-)
+from .data import ContextWindow, TimeSeries, normalize_rows, sliding_windows
 from .errors import (
     CompareError,
     ConfigError,
@@ -189,50 +189,39 @@ def _check_geometry(model: Model, window: int, horizon: int) -> None:
         )
 
 
-def _prepared_windows(series: TimeSeries, task: str, window: int, horizon: int, stride: int):
-    """One (span, normalized context, normalized truth) triple per window.
+def _windows(series: TimeSeries, task: str, window: int, horizon: int, stride: int) -> tuple:
+    """(offsets, contexts, lo, hi, truths) of every sliding window, as arrays.
 
-    Reconstruction is scored against the context exactly as the encoder
-    receives it (after the float32 cast), so perfect reconstruction scores
-    exactly zero; the forecast truth is not a model input and stays float64.
+    ``contexts`` is (N, window) in the normalized scale and ``lo``/``hi`` hold
+    each context's min-max map.  Reconstruction is scored against the context
+    exactly as the encoder receives it (after the float32 cast), so perfect
+    reconstruction scores exactly zero; the forecast truth is not a model
+    input and stays float64.
     """
-    out = []
-    for span in sliding_windows(series, window, horizon, stride):
-        a, b = span.context
-        ctx = minmax_normalize(series.values[a:b], source_offset=a)
-        if task == "forecast":
-            truth = normalize_like(series.values[span.target[0] : span.target[1]], ctx)
-        else:
-            truth = ctx.values.astype(np.float32).astype(np.float64)
-        out.append((span, ctx, truth))
-    return out
-
-
-def _mse(pred, truth) -> float:
-    return float(np.mean((np.asarray(pred, dtype=np.float64) - truth) ** 2, dtype=np.float64))
-
-
-def _baseline_pair(ctx, truth) -> tuple:
-    """(persistence, window-mean) MSEs for one window, in normalized scale."""
-    last = float(ctx.values[-1])
-    mean = float(ctx.values.mean())
-    return _mse(np.full_like(truth, last), truth), _mse(np.full_like(truth, mean), truth)
-
-
-def _score_slab(model: Model, task: str, horizon: int, slab) -> list:
-    """Model MSEs for one slab of prepared windows (shared read-only model)."""
-    inputs = np.stack(
-        [ctx.values.reshape(model.config.n_patches, model.config.l_patch) for _, ctx, _ in slab]
-    ).astype(np.float32)
-    _, z = encode(inputs, model, mode="infer")
+    count = len(sliding_windows(series, window, horizon, stride))
+    offsets = np.arange(count) * stride
+    rows, lo, hi = normalize_rows(
+        sliding_window_view(series.values, window + horizon)[::stride], window
+    )
+    contexts = rows[:, :window]
     if task == "forecast":
-        pred = decode_forecast(z, model.forecast).data[:, :horizon]
+        truths = rows[:, window:]
     else:
-        pred = decode_reconstruct(z, model.reconstruct).data
-    return [
-        (span.offset, _mse(pred[i], truth), ctx, truth, pred[i])
-        for i, (span, ctx, truth) in enumerate(slab)
-    ]
+        truths = contexts.astype(np.float32).astype(np.float64)
+    return offsets, contexts, lo, hi, truths
+
+
+def _row_mse(pred, truths) -> np.ndarray:
+    """One MSE per row; ``pred`` broadcasts against the (N, K) truths."""
+    return ((pred - truths) ** 2).mean(axis=1)
+
+
+def _baselines(contexts, truths) -> tuple:
+    """Per-window (persistence, window-mean) MSEs, in normalized scale."""
+    return (
+        _row_mse(contexts[:, -1:], truths),
+        _row_mse(contexts.mean(axis=1, keepdims=True), truths),
+    )
 
 
 def evaluate_zero_shot(
@@ -258,25 +247,31 @@ def evaluate_zero_shot(
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
     _check_geometry(model, window, horizon)
-    prepared = _prepared_windows(series, task, window, horizon, stride)
-    slabs = [prepared[i : i + _SLAB] for i in range(0, len(prepared), _SLAB)]
+    offsets, contexts, lo, hi, truths = _windows(series, task, window, horizon, stride)
+    starts = range(0, len(offsets), _SLAB)
+    mc = model.config
 
-    if workers > 1 and len(slabs) > 1:
+    def slab(a: int) -> np.ndarray:
+        """Task-head outputs for the contexts from row ``a`` (shared read-only model)."""
+        inputs = contexts[a : a + _SLAB].reshape(-1, mc.n_patches, mc.l_patch)
+        _, z = encode(inputs.astype(np.float32), model, mode="infer")
+        if task == "forecast":
+            return decode_forecast(z, model.forecast).data[:, :horizon]
+        return decode_reconstruct(z, model.reconstruct).data
+
+    if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda s: _score_slab(model, task, horizon, s), slabs))
+            slabs = list(pool.map(slab, starts))
     else:
-        chunks = [_score_slab(model, task, horizon, s) for s in slabs]
-    rows = [r for chunk in chunks for r in chunk]
-    rows.sort(key=lambda r: r[0])
+        slabs = [slab(a) for a in starts]
+    pred = np.concatenate(slabs)
+    mses = _row_mse(pred, truths)
+    pers, meanb = _baselines(contexts, truths)
 
-    scores, pers, meanb = [], [], []
-    for offset, mse, ctx, truth, pred in rows:
-        scores.append(WindowScore(offset=offset, mse=mse))
-        p, m = _baseline_pair(ctx, truth)
-        pers.append(p)
-        meanb.append(m)
-        if on_window is not None:
-            on_window(offset, ctx, pred)
+    if on_window is not None:
+        for i, offset in enumerate(offsets.tolist()):
+            ctx = ContextWindow(contexts[i], float(lo[i]), float(hi[i]), source_offset=offset)
+            on_window(offset, ctx, pred[i])
 
     return EvalReport(
         dataset=series.id,
@@ -286,10 +281,10 @@ def evaluate_zero_shot(
         horizon=horizon,
         stride=stride,
         series_length=len(series.values),
-        per_window=tuple(scores),
-        mean_mse=float(np.mean([s.mse for s in scores], dtype=np.float64)),
-        persistence_mse=float(np.mean(pers, dtype=np.float64)),
-        mean_baseline_mse=float(np.mean(meanb, dtype=np.float64)),
+        per_window=tuple(map(WindowScore, offsets.tolist(), mses.tolist())),
+        mean_mse=float(mses.mean()),
+        persistence_mse=float(pers.mean()),
+        mean_baseline_mse=float(meanb.mean()),
         config_fingerprint=config_fingerprint(model.config),
     )
 
@@ -308,12 +303,9 @@ def baseline_persistence(
     """
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    scores, meanb = [], []
-    for span, ctx, truth in _prepared_windows(series, task, window, horizon, stride):
-        p, m = _baseline_pair(ctx, truth)
-        scores.append(WindowScore(offset=span.offset, mse=p))
-        meanb.append(m)
-    mean_p = float(np.mean([s.mse for s in scores], dtype=np.float64))
+    offsets, contexts, _, _, truths = _windows(series, task, window, horizon, stride)
+    pers, meanb = _baselines(contexts, truths)
+    mean_p = float(pers.mean())
     return EvalReport(
         dataset=series.id,
         task=task,
@@ -322,10 +314,10 @@ def baseline_persistence(
         horizon=horizon,
         stride=stride,
         series_length=len(series.values),
-        per_window=tuple(scores),
+        per_window=tuple(map(WindowScore, offsets.tolist(), pers.tolist())),
         mean_mse=mean_p,
         persistence_mse=mean_p,
-        mean_baseline_mse=float(np.mean(meanb, dtype=np.float64)),
+        mean_baseline_mse=float(meanb.mean()),
         config_fingerprint="baseline",
     )
 

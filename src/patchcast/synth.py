@@ -380,24 +380,14 @@ def _variant_seed(master_seed: int, entry_index: int, variant_index: int) -> int
 def realize_variant(entry: CorpusEntry, variant_seed: int, tag: str) -> tuple:
     """Resolve one variant deterministically from its seed.
 
-    The first two draws fix the quantity and noise seeds, so a record rebuilt
-    from the manifest (jitter already resolved) regenerates bitwise.
+    The first two draws are the quantity and noise seeds; the series is then
+    regenerated from the manifest record, which draws them again from the
+    same seed, so the record and the series cannot disagree.
     """
     rng = np.random.default_rng(variant_seed)
-    quantity_seed = int(rng.integers(2**31))
-    sensor_seed = int(rng.integers(2**31))
-    resolved = {k: _resolve_template(entry.params[k], rng) for k in sorted(entry.params)}
-    spec = PhenomenonSpec(
-        kind=entry.kind,
-        duration_s=entry.duration_s,
-        rate_hz=entry.rate_hz,
-        params=resolved,
-        seed=quantity_seed,
-    )
-    series = measure(generate_quantity(spec), entry.sensor, seed=sensor_seed)
-    series = dataclasses.replace(series, id=tag)
-
-    manifest_params = dict(resolved)
+    rng.integers(2**31)  # the quantity seed, drawn again by series_from_record
+    rng.integers(2**31)  # the noise seed, likewise
+    manifest_params = {k: _resolve_template(entry.params[k], rng) for k in sorted(entry.params)}
     manifest_params["duration_s"] = entry.duration_s
     manifest_params["rate_hz"] = entry.rate_hz
     manifest_params["sensor.gain"] = entry.sensor.gain
@@ -405,13 +395,11 @@ def realize_variant(entry: CorpusEntry, variant_seed: int, tag: str) -> tuple:
     manifest_params["sensor.noise_std"] = entry.sensor.noise_std
     if entry.sensor.quantization_bits is not None:
         manifest_params["sensor.quantization_bits"] = entry.sensor.quantization_bits
-        manifest_params["sensor.clip_lo"] = entry.sensor.clip_range[0]
-        manifest_params["sensor.clip_hi"] = entry.sensor.clip_range[1]
-    elif entry.sensor.clip_range is not None:
+    if entry.sensor.clip_range is not None:
         manifest_params["sensor.clip_lo"] = entry.sensor.clip_range[0]
         manifest_params["sensor.clip_hi"] = entry.sensor.clip_range[1]
     record = ManifestRecord(kind=entry.kind, params=manifest_params, seed=variant_seed)
-    return series, record
+    return dataclasses.replace(series_from_record(record), id=tag), record
 
 
 def series_from_record(record: ManifestRecord) -> TimeSeries:

@@ -354,29 +354,28 @@ def save_checkpoint(model: Model, path, step: int = 0) -> None:
     The bytes go to a temporary file beside ``path`` that then replaces it,
     so a save that fails part-way leaves any previous checkpoint intact.
     """
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
     config_block = "".join(
         f"{k}={v}\n" for k, v in model.config.to_dict().items()
     ).encode("utf-8")
-    out += struct.pack("<I", len(config_block))
-    out += config_block
     tensors = _checkpoint_tensors(model)
-    out += struct.pack("<I", len(tensors))
+    parts = [
+        MAGIC,
+        struct.pack("<II", FORMAT_VERSION, len(config_block)),
+        config_block,
+        struct.pack("<I", len(tensors)),
+    ]
     for name, arr in tensors.items():
         encoded = name.encode("utf-8")
-        out += struct.pack("<H", len(encoded))
-        out += encoded
-        out += struct.pack("<B", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B")
-    out += struct.pack("<Q", step)
+        parts.append(
+            struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape)
+        )
+        parts.append(memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B"))
+    parts.append(struct.pack("<Q", step))
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(out)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

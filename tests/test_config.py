@@ -5,7 +5,6 @@ import pytest
 from patchcast.config import (
     EvalSettings,
     SynthSettings,
-    _coerce,
     build_run_config,
     default_flat,
     parse_config_file,
@@ -89,12 +88,6 @@ class TestLayering:
             build_run_config({"train.steps": "fifty"})
         with pytest.raises(ConfigError, match="cannot parse"):
             build_run_config({"train.steps": "1.5"})  # int field, float string
-
-    def test_bool_coercion_branch(self):
-        # no bool field exists today; the branch still has pinned semantics
-        assert _coerce("k", "true", False) is True
-        assert _coerce("k", "Yes", False) is True
-        assert _coerce("k", "off", False) is False
 
 
 class TestConfigFile:

@@ -12,7 +12,7 @@ from patchcast.data import (
     load_csv,
     make_batch,
     minmax_normalize,
-    normalize_like,
+    normalize_rows,
     preprocess_slow_signal,
     save_series_csv,
     sliding_windows,
@@ -132,14 +132,21 @@ class TestNormalize:
             back = denormalize(w.values, w)
             assert np.max(np.abs(back - raw)) < 1e-5
 
-    def test_normalize_like_shares_the_map(self):
-        w = minmax_normalize([0.0, 10.0])
-        assert_allclose(normalize_like([5.0, 20.0, -10.0], w), [0.5, 2.0, -1.0])
+    def test_target_shares_the_context_map(self):
+        rows, lo, hi = normalize_rows([[0.0, 10.0, 5.0, 20.0, -10.0]], 2)
+        assert_allclose(rows[0], [0.0, 1.0, 0.5, 2.0, -1.0])
+        assert lo[0] == 0.0 and hi[0] == 10.0
 
     def test_targets_beyond_range_not_clipped(self):
-        w = minmax_normalize([0.0, 1.0])
-        out = normalize_like([3.0], w)
-        assert out[0] == 3.0
+        rows, _, _ = normalize_rows([[0.0, 1.0, 3.0]], 2)
+        assert rows[0, 2] == 3.0
+
+    def test_rows_are_mapped_independently(self):
+        raw = np.array([[2.0, 4.0, 6.0, 8.0], [5.0, 5.0, 5.0, 9.0], [-1.0, 1.0, 0.0, -3.0]])
+        rows, lo, hi = normalize_rows(raw, 3)
+        assert_array_equal(rows, [[0.0, 0.5, 1.0, 1.5], [0.5] * 4, [0.0, 1.0, 0.5, -1.0]])
+        assert_array_equal(lo, [2.0, 5.0, -1.0])
+        assert_array_equal(hi, [6.0, 5.0, 1.0])
 
     def test_window_invariant_enforced(self):
         with pytest.raises(DataError):
@@ -255,6 +262,30 @@ class TestPreprocessSlowSignal:
             preprocess_slow_signal(s, target_hz=1.0, smooth_width=4)
 
 
+def _reference_batch(pool, count, W, H, l_patch, seed):
+    """The per-item loop make_batch replaced, kept as its bitwise reference."""
+    gen = np.random.default_rng(seed)
+    admissible = [s for s in pool if len(s.values) >= W + H]
+    inputs = np.empty((count, W // l_patch, l_patch), dtype=np.float32)
+    fore = np.empty((count, H), dtype=np.float32)
+    recon = np.empty((count, W), dtype=np.float32)
+    for b in range(count):
+        s = admissible[int(gen.integers(len(admissible)))]
+        o = int(gen.integers(len(s.values) - W - H + 1))
+        v = s.values[o : o + W]
+        lo, hi = float(v.min()), float(v.max())
+        if hi > lo:
+            ctx = (v - lo) / (hi - lo)
+            target = (s.values[o + W : o + W + H] - lo) / (hi - lo)
+        else:
+            ctx = np.full_like(v, 0.5)
+            target = np.full(H, 0.5)
+        inputs[b] = ctx.reshape(-1, l_patch)
+        fore[b] = target
+        recon[b] = ctx
+    return inputs, fore, recon
+
+
 class TestMakeBatch:
     def test_single_choice_pool(self):
         s = _series(np.sin(np.arange(24.0)))
@@ -283,16 +314,30 @@ class TestMakeBatch:
         assert_array_equal(batch.reconstruction_targets.reshape(32, 4, 16), batch.inputs)
 
     def test_targets_follow_context(self):
+        # on a ramp every context maps to (0..15)/15, whatever its offset, so
+        # the next four samples map to (16..19)/15
         s = _series(np.arange(48.0))
-        batch = make_batch([s], count=2, W=16, H=4, l_patch=4, rng=1)
-        for i in range(2):
-            win = batch.windows[i]
-            o = win.source_offset
-            raw_target = s.values[o + 16 : o + 20]
-            assert_allclose(
-                denormalize(batch.forecast_targets[i].astype(np.float64), win),
-                raw_target, atol=1e-5,
-            )
+        batch = make_batch([s], count=8, W=16, H=4, l_patch=4, rng=1)
+        want = (np.arange(16.0, 20.0) / 15.0).astype(np.float32)
+        for i in range(8):
+            assert_array_equal(batch.forecast_targets[i], want)
+            assert_array_equal(batch.reconstruction_targets[i], (np.arange(16.0) / 15.0).astype(np.float32))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_matches_per_item_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = [
+            _series(np.concatenate([np.full(40, 2.5), rng.normal(size=60), np.full(30, -1.0)]), sid="flat"),
+            _series(np.repeat(rng.normal(size=12), 16), sid="steps"),
+            _series(rng.normal(scale=50.0, size=90) + 1e3, sid="noise"),
+            _series(np.zeros(20), sid="short"),  # shorter than W + H: never drawn
+        ]
+        got = make_batch(pool, count=48, W=16, H=8, l_patch=4, rng=seed)
+        want = _reference_batch(pool, count=48, W=16, H=8, l_patch=4, seed=seed)
+        assert np.any(np.all(want[0].reshape(48, -1) == 0.5, axis=1))  # constant windows drawn
+        for a, b in zip((got.inputs, got.forecast_targets, got.reconstruction_targets), want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_no_admissible_series(self):
         with pytest.raises(InsufficientDataError):

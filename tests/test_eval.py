@@ -11,7 +11,7 @@ import pytest
 
 import patchcast
 import patchcast.eval as eval_mod
-from patchcast.data import TimeSeries
+from patchcast.data import ContextWindow, TimeSeries, sliding_windows
 from patchcast.errors import (
     CompareError,
     ConfigError,
@@ -33,7 +33,7 @@ from patchcast.eval import (
     write_report_summary,
     write_window_csv,
 )
-from patchcast.model import ModelConfig, init_params
+from patchcast.model import ModelConfig, decode_forecast, decode_reconstruct, encode, init_params
 from patchcast.synth import PhenomenonSpec, generate_quantity
 from patchcast.train import TrainConfig, pretrain, save_checkpoint
 
@@ -287,6 +287,90 @@ class TestZeroShot:
         base = baseline_persistence(series, W, H, S)
         assert rep.persistence_mse == pytest.approx(base.mean_mse, abs=1e-12)
         assert rep.mean_baseline_mse == pytest.approx(base.mean_baseline_mse, abs=1e-12)
+
+
+def _reference_windows(model, series, task, window, horizon, stride):
+    """The per-window loop evaluate_zero_shot replaced, kept as its bitwise
+    reference: one (offset, context, lo, hi, prediction, model mse,
+    persistence mse, window-mean mse) per window, the model fed in slabs of
+    ``_SLAB`` windows as before."""
+    def mse(pred, truth):
+        return float(np.mean((np.asarray(pred, dtype=np.float64) - truth) ** 2, dtype=np.float64))
+
+    prepared = []
+    for span in sliding_windows(series, window, horizon, stride):
+        v = series.values[span.context[0] : span.context[1]]
+        t = series.values[span.target[0] : span.target[1]]
+        lo, hi = float(v.min()), float(v.max())
+        if hi > lo:
+            ctx, target = (v - lo) / (hi - lo), (t - lo) / (hi - lo)
+        else:
+            ctx, target = np.full_like(v, 0.5), np.full_like(t, 0.5)
+        truth = target if task == "forecast" else ctx.astype(np.float32).astype(np.float64)
+        prepared.append((span.offset, ctx, lo, hi, truth))
+    mc = model.config
+    out = []
+    for a in range(0, len(prepared), eval_mod._SLAB):
+        slab = prepared[a : a + eval_mod._SLAB]
+        inputs = np.stack([c.reshape(mc.n_patches, mc.l_patch) for _, c, _, _, _ in slab])
+        _, z = encode(inputs.astype(np.float32), model, mode="infer")
+        if task == "forecast":
+            pred = decode_forecast(z, model.forecast).data[:, :horizon]
+        else:
+            pred = decode_reconstruct(z, model.reconstruct).data
+        for i, (offset, ctx, lo, hi, truth) in enumerate(slab):
+            last, mean = float(ctx[-1]), float(ctx.mean())
+            out.append((
+                offset, ctx, lo, hi, pred[i], mse(pred[i], truth),
+                mse(np.full_like(truth, last), truth), mse(np.full_like(truth, mean), truth),
+            ))
+    return out
+
+
+@pytest.fixture(scope="module")
+def flat_stretch(series):
+    # constant stretches longer than a window, so some contexts are constant
+    v = series.values
+    values = np.concatenate([v[:150], np.full(100, v[149]), v[150:250], np.full(90, -2.0)])
+    return TimeSeries(id="flat-stretch", values=values)
+
+
+class TestBlockScoringMatchesReference:
+    @pytest.mark.parametrize("task", ["forecast", "reconstruct"])
+    @pytest.mark.parametrize("horizon,stride", [(8, 1), (16, 5)])
+    def test_evaluate_zero_shot_bitwise(self, model, flat_stretch, task, horizon, stride):
+        hooked = []
+        rep = evaluate_zero_shot(
+            model, flat_stretch, task, W, horizon, stride,
+            on_window=lambda off, ctx, pred: hooked.append((off, ctx, pred)),
+        )
+        ref = _reference_windows(model, flat_stretch, task, W, horizon, stride)
+        assert any(r[2] == r[3] for r in ref)  # constant contexts are scored
+        hx = lambda xs: [float(x).hex() for x in xs]
+        assert [w.offset for w in rep.per_window] == [r[0] for r in ref]
+        assert hx(w.mse for w in rep.per_window) == hx(r[5] for r in ref)
+        assert hx([rep.mean_mse, rep.persistence_mse, rep.mean_baseline_mse]) == hx(
+            np.mean([r[k] for r in ref], dtype=np.float64) for k in (5, 6, 7)
+        )
+        assert len(hooked) == len(ref)
+        for (off, ctx, pred), r in zip(hooked, ref):
+            assert isinstance(ctx, ContextWindow)
+            assert off == r[0] == ctx.source_offset
+            assert ctx.values.tobytes() == r[1].tobytes()
+            assert (ctx.norm_min, ctx.norm_max) == (r[2], r[3])
+            assert pred.tobytes() == np.ascontiguousarray(r[4]).tobytes()
+
+    @pytest.mark.parametrize("task", ["forecast", "reconstruct"])
+    @pytest.mark.parametrize("horizon,stride", [(8, 1), (16, 5)])
+    def test_baseline_persistence_bitwise(self, model, flat_stretch, task, horizon, stride):
+        rep = baseline_persistence(flat_stretch, W, horizon, stride, task=task)
+        ref = _reference_windows(model, flat_stretch, task, W, horizon, stride)
+        hx = lambda xs: [float(x).hex() for x in xs]
+        assert [w.offset for w in rep.per_window] == [r[0] for r in ref]
+        assert hx(w.mse for w in rep.per_window) == hx(r[6] for r in ref)
+        assert hx([rep.mean_mse, rep.mean_baseline_mse]) == hx(
+            np.mean([r[k] for r in ref], dtype=np.float64) for k in (6, 7)
+        )
 
 
 class TestSnapshotSelection:
