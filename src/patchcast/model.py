@@ -10,8 +10,10 @@ the input window and one predicting the next ``l_pred`` samples.
 Everything here is functional over :class:`~patchcast.numerics.Tensor`, so
 the same code path serves training (on tape) and inference (no tape).  Every
 projection (patch, q/k/v/o, feedforward, head layers) is one fused ``linear``
-op, so it costs one tape record; ReLU propagates NaN, so a non-finite weight
-reaches the loss even with the per-op debug scans off.
+op, so it costs one tape record.  ReLU propagates NaN, so a non-finite weight
+reaches the decoder output, and ``_decode`` checks that output once: it is the
+boundary every caller passes (eval sweeps, the stream forecast, the CLI and
+both training heads), so the per-op scans can stay off.
 
 The parameter set is stated once, in :func:`param_spec`: an ordered list of
 ``(name, shape, init)``.  The model holds one registry built from it, and
@@ -34,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .numerics import (
     NormState,
     Tensor,
@@ -340,6 +342,8 @@ def _decode(z, params: DecoderParams, role: str, taps: Optional[dict]) -> Tensor
     if taps is not None:
         taps[f"dec_{role}.preact"] = pre
     out = linear(relu(pre), params.w2, params.b2)
+    if not np.isfinite(out.data).all():
+        raise NumericError(f"non-finite values in the {role} decoder's output")
     if single:
         out = reshape(out, (out.shape[1],))
     return out

@@ -8,11 +8,12 @@ pre-update parameter value rather than folded into the gradient:
 The trainable tensors tile one flat parameter buffer (for a model, its arena
 or a contiguous slice of it); the moments and the gathered gradients are
 matching flat buffers.  A step copies each ``.grad`` into its slot of the
-gradient buffer, then applies the update block by block, with every
-intermediate written into two block-sized scratch buffers, so the working set
-stays in cache.  Elementwise float ufuncs give the same per-element result
-however the array is grouped, so the step is bitwise equal to the per-tensor
-update that runs the same operations in the same order.
+gradient buffer, scans that buffer once for NaN/Inf, then applies the update
+block by block, with every intermediate written into two block-sized scratch
+buffers, so the working set stays in cache.  Elementwise float ufuncs give the
+same per-element result however the array is grouped, so the step is bitwise
+equal to the per-tensor update that runs the same operations in the same
+order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ContractError, NumericError
 from .tensor import tile
 
 # elements per block: g, m, v, theta and both scratch slices fit in L2 together
@@ -114,8 +115,10 @@ def adamw_step(params: dict, state: AdamWState) -> None:
     ``params`` must be the set the state was built over.  Every parameter must
     carry a gradient (run backward first); a missing one raises ContractError
     naming the parameter, as does a name the state does not know or a tensor
-    whose ``.data`` no longer lives in the state's buffer.  Parameters whose
-    gradient is identically zero still decay.
+    whose ``.data`` no longer lives in the state's buffer.  A NaN/Inf gradient
+    raises NumericError naming the first such parameter before the moments,
+    the parameters or the step count change.  Parameters whose gradient is
+    identically zero still decay.
     """
     for name, p in params.items():
         if p.grad is None:
@@ -130,6 +133,9 @@ def adamw_step(params: dict, state: AdamWState) -> None:
         raise ContractError(
             f"step got {len(params)} of the {len(state.slots)} parameters this state updates"
         )
+    if not np.isfinite(state.grad).all():
+        bad = next(n for n, (_, g) in state.slots.items() if not np.isfinite(g).all())
+        raise NumericError(f"non-finite gradient for parameter {bad!r}")
 
     cfg = state.config
     state.step += 1

@@ -7,7 +7,10 @@ rule needs.  Backward rules are hand-derived; the gradient checker in
 
 Every model projection is one ``linear`` record: a single GEMM over the
 flattened leading axes plus the bias.  ``relu`` propagates NaN, so a
-non-finite value reaches the loss even with the output scans switched off.
+non-finite value reaches the model's outputs and the loss.  Scanning each op
+output for NaN/Inf is an opt-in debug mode, set for the whole process with
+``set_debug_checks``; it is off by default, and then the callers check at the
+boundaries instead (see ``tensor``).
 
 Shape glossary used below: B batch, T sequence length, D model width,
 h head count.
@@ -15,6 +18,7 @@ h head count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +42,11 @@ def _record(op: str, inputs: tuple, out: Tensor, backward_fn) -> None:
 
 
 def _same_dtype(op: str, *tensors: Tensor) -> None:
-    dtypes = {t.data.dtype for t in tensors}
-    if len(dtypes) > 1:
-        raise ContractError(f"{op}: mixed dtypes {sorted(d.name for d in dtypes)}")
+    dt = tensors[0].data.dtype
+    for t in tensors[1:]:
+        if t.data.dtype != dt:
+            names = sorted({t.data.dtype.name for t in tensors})
+            raise ContractError(f"{op}: mixed dtypes {names}")
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -142,11 +148,11 @@ def scale(x: Tensor, c: float) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """max(x, 0).  NaN propagates (a NaN input gives a NaN output); -0.0 maps
     to +0.0.  The gradient passes where x > 0 and is zero elsewhere."""
-    mask = x.data > 0
-    out = Tensor(np.maximum(x.data, 0))
+    xd = x.data
+    out = Tensor(np.maximum(xd, 0))
 
     def bwd(dout, needs):
-        return (dout * mask if needs[0] else None,)
+        return (dout * (xd > 0) if needs[0] else None,)
 
     _record("relu", (x,), out, bwd)
     return out
@@ -170,6 +176,14 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
 # attention
 
 
+@functools.lru_cache(maxsize=16)
+def _causal_mask(T: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only (T, T) additive mask: -inf above the diagonal, 0 elsewhere."""
+    mask = np.triu(np.full((T, T), -np.inf, dtype=dtype), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Fused multi-head attention with a strict causal mask.
 
@@ -187,7 +201,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     if n_heads < 1 or D % n_heads != 0:
         raise ShapeError(f"width {D} not divisible by n_heads={n_heads}")
     hd = D // n_heads
-    dt = q.data.dtype
 
     def split(a):  # (B, T, D) -> (B, h, T, hd)
         return a.reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
@@ -195,8 +208,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     inv = 1.0 / math.sqrt(hd)  # python float: a numpy scalar would upcast float32
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv
-    mask = np.triu(np.full((T, T), -np.inf, dtype=dt), k=1)
-    scores = scores + mask
+    scores += _causal_mask(T, q.data.dtype)
     m = scores.max(axis=-1, keepdims=True)  # diagonal is never masked, so finite
     e = np.exp(scores - m)
     w = e / e.sum(axis=-1, keepdims=True)  # (B, h, T, T)

@@ -14,6 +14,11 @@ Conventions
   sweep.  Distinct tapes over disjoint tensors are independent.
 - Gradients accumulate into ``Tensor.grad``; zeroing between optimizer steps
   is the caller's job (see ``zero_grads``).
+- Scanning every op output for NaN/Inf is an opt-in debug mode
+  (``set_debug_checks`` / ``debug_checks``), off by default.  The setting is
+  one flag for the whole process, so it holds in worker threads too.  With it
+  off, non-finite values are caught where they leave the system: the decoder
+  outputs, the training loss, the gradient buffer and checkpoint load.
 """
 
 from __future__ import annotations
@@ -149,17 +154,17 @@ def current_tape() -> Optional[Tape]:
 # ---------------------------------------------------------------------------
 # debug-mode finite checks
 
-_debug = threading.local()
+_debug = False  # one setting for the whole process, every thread included
 
 
 def debug_checks_enabled() -> bool:
-    return getattr(_debug, "enabled", True)
+    return _debug
 
 
 def set_debug_checks(enabled: bool) -> bool:
-    """Toggle NaN/Inf scanning of op outputs; returns the previous setting."""
-    prev = debug_checks_enabled()
-    _debug.enabled = bool(enabled)
+    """Toggle NaN/Inf scanning of every op output; returns the previous setting."""
+    global _debug
+    prev, _debug = _debug, bool(enabled)
     return prev
 
 
@@ -174,7 +179,7 @@ def debug_checks(enabled: bool):
 
 def check_finite(op: str, arr: np.ndarray) -> None:
     """Raise NumericError if ``arr`` holds NaN/Inf (debug mode only)."""
-    if debug_checks_enabled() and not np.all(np.isfinite(arr)):
+    if _debug and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in output of {op}")
 
 

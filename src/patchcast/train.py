@@ -18,13 +18,20 @@ buffer plus the running statistics into a buffer allocated once; each eval
 snapshot is one such copy into a fresh buffer.  Both are handed out as
 name -> view dicts that ``restore_snapshot`` writes back.
 
+A step is checked for NaN/Inf at its boundaries, not after every op: the
+decoder outputs (see ``model._decode``), the loss, and the gradient buffer,
+which ``adamw_step`` scans before it writes anything.  Any of them raises
+:class:`TrainingDiverged` with the step's parameters and moments untouched.
+
 Checkpoints are a little-endian binary format: magic ``OMGA``, a version
 word, the model config as key=value text, named float32 tensors (parameters
 plus batch-norm running statistics), and the training step count.  The
 tensors appear in ``param_spec`` order, then the running statistics.
 Loading builds the model straight from the spec with every value zero and
-writes each stored tensor into it exactly once; no random numbers are
-drawn.  ``clone_model`` copies the arena in one go into such a model.
+reads each stored payload from the file straight into its arena view or
+statistic array, so the data is copied once; no random numbers are drawn.
+Finiteness is checked once over the arena and once per statistic after the
+last payload.  ``clone_model`` copies the arena in one go into such a model.
 """
 
 from __future__ import annotations
@@ -228,6 +235,7 @@ def _run_loop(
                 raise NumericError(f"non-finite loss at step {step}")
             last_finite = snaps.take(last_finite)
             backward(tape, total)
+            adamw_step(trainable, opt)  # scans the gradients before it writes
         except NumericError as exc:
             # non-finite values anywhere in the step mean the run is lost;
             # hand back the last parameters that still produced a finite loss
@@ -237,7 +245,6 @@ def _run_loop(
                 last_finite_params=None if last_finite is None else snaps.views(last_finite),
                 curve=curve,
             ) from exc
-        adamw_step(trainable, opt)
         zero_grads(trainable)
         curve.append(LossRecord(step, t_v, f_v, r_v))
         if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
@@ -384,19 +391,36 @@ def save_checkpoint(model: Model, path, step: int = 0) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+    """Sequential reads from an open checkpoint, bounded by the file's size.
+
+    A field that would run past the end of the file means truncation; the
+    bound is checked before reading, so a garbled length never allocates.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size  # bytes not read yet
+
+    def _claim(self, n: int, what: str) -> int:
+        if n > self.left:
+            raise CheckpointCorruptError(f"checkpoint truncated while reading {what}")
+        self.left -= n
+        return n
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
+        chunk = self.fh.read(self._claim(n, what))
+        if len(chunk) != n:  # the file shrank while it was read
             raise CheckpointCorruptError(f"checkpoint truncated while reading {what}")
-        chunk = self.buf[self.pos : self.pos + n]
-        self.pos += n
         return chunk
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def fill(self, target: np.ndarray, what: str) -> None:
+        """Read ``target.nbytes`` bytes straight into the contiguous ``target``."""
+        n = self._claim(target.nbytes, what)
+        if self.fh.readinto(memoryview(target).cast("B")) != n:
+            raise CheckpointCorruptError(f"checkpoint truncated while reading {what}")
 
 
 def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
@@ -404,26 +428,74 @@ def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
 
     Validates magic, version, and that the stored tensors enumerate exactly
     the parameter-and-statistics set the embedded config implies, with
-    matching shapes.  ``expect_config`` additionally pins the caller's
-    geometry.
+    matching shapes and finite values.  ``expect_config`` additionally pins
+    the caller's geometry.  Each payload is read from the file straight into
+    its arena view or statistic array; since the file stores ``<f4`` and the
+    arrays are native float32, this relies on a little-endian host.
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf)
-    if len(buf) < 8 or bytes(r.take(4, "magic")) != MAGIC:
-        raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = r.unpack("<I", "version")
-    if version != FORMAT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version}, expected {FORMAT_VERSION}"
-        )
-    (config_len,) = r.unpack("<I", "config length")
+        r = _Reader(fh)
+        if r.left < 8 or r.take(4, "magic") != MAGIC:
+            raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic)")
+        (version,) = r.unpack("<I", "version")
+        if version != FORMAT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: format version {version}, expected {FORMAT_VERSION}"
+            )
+        (config_len,) = r.unpack("<I", "config length")
+        config = _read_config(r.take(config_len, "config block"))
+        if expect_config is not None and config != expect_config:
+            theirs, ours = config.to_dict(), expect_config.to_dict()
+            diff = [k for k in ours if theirs.get(k) != ours[k]]
+            raise CheckpointCorruptError(
+                f"checkpoint config does not match the requested one (differs in {diff})"
+            )
+
+        model = zeros_model(config)
+        expected = _checkpoint_tensors(model)
+        (count,) = r.unpack("<I", "tensor count")
+        if count != len(expected):
+            raise CheckpointCorruptError(
+                f"checkpoint holds {count} tensors, config implies {len(expected)}"
+            )
+        seen = set()
+        for _ in range(count):
+            (name_len,) = r.unpack("<H", "tensor name length")
+            name = _utf8(r.take(name_len, "tensor name"), "tensor name")
+            if name in seen:
+                raise CheckpointCorruptError(f"duplicate tensor {name!r}")
+            seen.add(name)
+            if name not in expected:
+                raise CheckpointCorruptError(f"unexpected tensor {name!r}")
+            (rank,) = r.unpack("<B", f"rank of {name}")
+            shape = tuple(r.unpack(f"<{rank}I", f"dims of {name}")) if rank else ()
+            target = expected[name]
+            if shape != target.shape:
+                raise CheckpointCorruptError(
+                    f"tensor {name!r} has shape {shape}, config implies {target.shape}"
+                )
+            r.fill(target, f"payload of {name}")
+        (step,) = r.unpack("<Q", "step counter")
+    if r.left:
+        raise CheckpointCorruptError(f"{r.left} trailing bytes after the step counter")
+    stats = _running_stats(model)
+    if not (np.isfinite(model.arena).all() and all(np.isfinite(a).all() for a in stats.values())):
+        bad = next(n for n, a in expected.items() if not np.isfinite(a).all())
+        raise CheckpointCorruptError(f"tensor {bad!r} holds non-finite values")
+    return model, step
+
+
+def _utf8(raw: bytes, what: str) -> str:
     try:
-        config_text = r.take(config_len, "config block").decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CheckpointCorruptError(f"config block is not valid UTF-8: {exc}") from exc
+        raise CheckpointCorruptError(f"{what} is not valid UTF-8: {exc}") from exc
+
+
+def _read_config(raw: bytes) -> ModelConfig:
+    """The embedded key=value config block, parsed and validated."""
     config_dict = {}
-    for line in config_text.splitlines():
+    for line in _utf8(raw, "config block").splitlines():
         line = line.strip()
         if not line:
             continue
@@ -432,48 +504,6 @@ def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
         key, _, value = line.partition("=")
         config_dict[key] = value
     try:
-        config = ModelConfig.from_dict(config_dict)
+        return ModelConfig.from_dict(config_dict)
     except (ConfigError, ValueError) as exc:
         raise CheckpointCorruptError(f"embedded config invalid: {exc}") from exc
-    if expect_config is not None and config != expect_config:
-        theirs, ours = config.to_dict(), expect_config.to_dict()
-        diff = [k for k in ours if theirs.get(k) != ours[k]]
-        raise CheckpointCorruptError(
-            f"checkpoint config does not match the requested one (differs in {diff})"
-        )
-
-    model = zeros_model(config)
-    expected = _checkpoint_tensors(model)
-    (count,) = r.unpack("<I", "tensor count")
-    if count != len(expected):
-        raise CheckpointCorruptError(
-            f"checkpoint holds {count} tensors, config implies {len(expected)}"
-        )
-    seen = set()
-    for _ in range(count):
-        (name_len,) = r.unpack("<H", "tensor name length")
-        name = r.take(name_len, "tensor name").decode("utf-8")
-        if name in seen:
-            raise CheckpointCorruptError(f"duplicate tensor {name!r}")
-        seen.add(name)
-        if name not in expected:
-            raise CheckpointCorruptError(f"unexpected tensor {name!r}")
-        (rank,) = r.unpack("<B", f"rank of {name}")
-        shape = tuple(r.unpack(f"<{rank}I", f"dims of {name}")) if rank else ()
-        want = expected[name].shape
-        if shape != want:
-            raise CheckpointCorruptError(
-                f"tensor {name!r} has shape {shape}, config implies {want}"
-            )
-        n_items = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        payload = r.take(4 * n_items, f"payload of {name}")
-        target = expected[name]
-        target[...] = np.frombuffer(payload, dtype="<f4").reshape(shape)
-        if not np.all(np.isfinite(target)):
-            raise CheckpointCorruptError(f"tensor {name!r} holds non-finite values")
-    (step,) = r.unpack("<Q", "step counter")
-    if r.pos != len(buf):
-        raise CheckpointCorruptError(
-            f"{len(buf) - r.pos} trailing bytes after the step counter"
-        )
-    return model, step

@@ -11,7 +11,7 @@ import types
 import pytest
 
 from patchcast.cli import main
-from patchcast.train import load_checkpoint
+from patchcast.train import load_checkpoint, save_checkpoint
 
 SMALL_CFG = """\
 # small geometry for fast end-to-end runs
@@ -287,6 +287,38 @@ class TestFailureExits:
         argv = ["synth", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "x")]
         assert main(argv) == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def overflowing(pre, tmp_path_factory):
+    """The pretrained checkpoint with one finite weight large enough to overflow."""
+    model, step = load_checkpoint(pre / "checkpoint.omg")
+    model.named_parameters()["patch_proj.w"].data[...] = 1e30
+    path = tmp_path_factory.mktemp("overflow") / "checkpoint.omg"
+    save_checkpoint(model, path, step=step)
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+class TestNonFiniteExits:
+    def test_eval_writes_no_report(self, cfg_file, overflowing, target_csv, tmp_path, capsys):
+        out = tmp_path / "ev"
+        argv = ["eval", "--config", str(cfg_file), "--checkpoint", str(overflowing),
+                "--data", str(target_csv), "--out", str(out), "--workers", "2", "--emit-traces"]
+        assert main(argv) == 2
+        assert "forecast decoder" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+        assert not (out / "windows.csv").exists()
+        assert not any((out / "traces").iterdir())
+
+    @pytest.mark.parametrize("command,name", [("forecast", "fc.csv"), ("reconstruct", "rec")])
+    def test_trace_writes_no_file(self, cfg_file, overflowing, target_csv, tmp_path, capsys,
+                                  command, name):
+        argv = [command, "--config", str(cfg_file), "--checkpoint", str(overflowing),
+                "--data", str(target_csv), "--out", str(tmp_path / name)]
+        assert main(argv) == 2
+        assert f"{command} decoder" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
 
 
 class TestGradcheckCommand:

@@ -17,6 +17,7 @@ from patchcast.errors import (
     ConfigError,
     ContractError,
     InsufficientDataError,
+    NumericError,
 )
 from patchcast.eval import (
     CompareSummary,
@@ -34,8 +35,9 @@ from patchcast.eval import (
     write_window_csv,
 )
 from patchcast.model import ModelConfig, decode_forecast, decode_reconstruct, encode, init_params
+from patchcast.numerics import debug_checks
 from patchcast.synth import PhenomenonSpec, generate_quantity
-from patchcast.train import TrainConfig, pretrain, save_checkpoint
+from patchcast.train import TrainConfig, clone_model, pretrain, save_checkpoint
 
 SMALL = dict(l_patch=8, n_patches=8, d_model=16, n_layers=2, n_heads=2, d_ff=24, l_pred=16)
 W, H, S = 64, 16, 32
@@ -287,6 +289,37 @@ class TestZeroShot:
         base = baseline_persistence(series, W, H, S)
         assert rep.persistence_mse == pytest.approx(base.mean_mse, abs=1e-12)
         assert rep.mean_baseline_mse == pytest.approx(base.mean_baseline_mse, abs=1e-12)
+
+
+def _with_weight(model, name, value):
+    bad = clone_model(model)
+    bad.named_parameters()[name].data.flat[0] = value
+    return bad
+
+
+class TestNonFiniteBoundary:
+    """With the default settings a non-finite value is caught at the decoder's
+    output; the per-op scans are an opt-in debug mode for every thread."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_weight_raises_at_the_decoder(self, model, series, workers):
+        bad = _with_weight(model, "layers.0.attn.wq", np.nan)
+        assert (len(series.values) - W - H) // S + 1 > eval_mod._SLAB  # two slabs
+        with pytest.raises(NumericError, match="forecast decoder"):
+            evaluate_zero_shot(bad, series, "forecast", W, H, S, workers=workers)
+
+    def test_debug_checks_name_the_op_in_worker_threads(self, model, series):
+        bad = _with_weight(model, "layers.0.attn.wq", np.nan)
+        with debug_checks(True), pytest.raises(NumericError, match="output of linear"):
+            evaluate_zero_shot(bad, series, "forecast", W, H, S, workers=2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize("task", ["forecast", "reconstruct"])
+    def test_overflowing_weight_raises(self, model, series, task):
+        bad = clone_model(model)
+        bad.named_parameters()["patch_proj.w"].data[...] = 1e30
+        with pytest.raises(NumericError, match=f"{task} decoder"):
+            evaluate_zero_shot(bad, series, task, W, H, S)
 
 
 def _reference_windows(model, series, task, window, horizon, stride):

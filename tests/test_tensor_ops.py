@@ -1,5 +1,7 @@
 """Forward-value tests for the primitive kernels."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -14,6 +16,7 @@ from patchcast.numerics import (
     backward,
     causal_attention,
     debug_checks,
+    debug_checks_enabled,
     linear,
     matmul,
     mse,
@@ -23,6 +26,7 @@ from patchcast.numerics import (
     scale,
     select_position,
 )
+from patchcast.numerics.ops import _causal_mask
 
 
 def _matmul_oracle(a, b):
@@ -281,6 +285,17 @@ class TestPlumbing:
         assert np.isnan(out.data[0])
         assert_array_equal(out.data[1:], [0.0, 1.0])
 
+    def test_relu_backward_masks_with_the_recorded_input(self):
+        vals = [-0.0, 0.0, np.nan, -3.0, 2.5, -1e-30, 1e-30, 7.0]
+        x = Tensor(np.array(vals, np.float32), requires_grad=True)
+        dout = np.linspace(-2.0, 2.0, len(vals)).astype(np.float32)
+        with Tape() as tape:
+            relu(x)
+        (dx,) = tape.records[0].backward_fn(dout, (True,))
+        ref = dout * (x.data > 0)
+        assert dx.dtype == ref.dtype == np.float32
+        assert np.array_equal(dx.view(np.uint8), ref.view(np.uint8))
+
     def test_reshape_roundtrip(self):
         x = Tensor(np.arange(12, dtype=np.float32))
         assert reshape(x, (3, 4)).shape == (3, 4)
@@ -354,3 +369,25 @@ class TestCausalAttention:
         x = Tensor(np.ones((1, 2, 6)))
         with pytest.raises(ShapeError):
             causal_attention(x, x, x, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_is_built_once_and_read_only(self, dtype):
+        mask = _causal_mask(5, np.dtype(dtype))
+        assert _causal_mask(5, np.dtype(dtype)) is mask
+        assert mask.dtype == dtype and not mask.flags.writeable
+        assert_array_equal(mask, np.triu(np.full((5, 5), -np.inf, dtype=dtype), k=1))
+
+
+class TestDebugChecks:
+    def test_off_by_default(self):
+        assert not debug_checks_enabled()
+        with Tape():
+            out = relu(Tensor(np.array([np.inf, np.nan], np.float32)))
+        assert not np.isfinite(out.data).any()
+
+    def test_one_setting_for_every_thread(self):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with debug_checks(True):
+                assert pool.submit(debug_checks_enabled).result()
+            assert not pool.submit(debug_checks_enabled).result()
+

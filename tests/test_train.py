@@ -1,5 +1,6 @@
 """Training loops, freezing, divergence policy, and the checkpoint format."""
 
+import re
 import struct
 
 import numpy as np
@@ -195,6 +196,39 @@ class TestLoop:
         # the salvage snapshot restores cleanly
         model = init_params(small_config())
         restore_snapshot(model, exc.last_finite_params)
+
+    def test_nan_gradient_stops_the_step_before_any_write(self, pool, monkeypatch):
+        built, before = [], []
+        real_init, real_backward, real_step = (
+            train_mod.init_params, train_mod.backward, train_mod.adamw_step
+        )
+
+        def poisoned_backward(tape, loss):
+            real_backward(tape, loss)
+            if len(before) == 2:  # the third step
+                p = built[0].named_parameters()["layers.1.ff.w1"]
+                p.grad = p.grad.copy()
+                p.grad[0, 0] = np.nan
+
+        def recording_step(params, state):
+            before.append((state, state.step, state.flat.copy(), state.m.copy(), state.v.copy()))
+            real_step(params, state)
+
+        monkeypatch.setattr(
+            train_mod, "init_params", lambda *a, **kw: built.append(real_init(*a, **kw)) or built[-1]
+        )
+        monkeypatch.setattr(train_mod, "backward", poisoned_backward)
+        monkeypatch.setattr(train_mod, "adamw_step", recording_step)
+        with pytest.raises(TrainingDiverged, match="layers.1.ff.w1") as info:
+            pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3))
+        assert info.value.step == 2 and len(info.value.curve) == 2
+        assert isinstance(info.value.__cause__, NumericError)
+        state, step, flat, m, v = before[2]
+        assert state.step == step == 2
+        for live, copy in ((built[0].arena, flat), (state.m, m), (state.v, v)):
+            assert np.array_equal(live.view(np.uint8), copy.view(np.uint8))
+        salvage = info.value.last_finite_params["layers.1.ff.w1"]
+        assert np.array_equal(salvage, built[0].named_parameters()["layers.1.ff.w1"].data)
 
 
 def reference_finetune(model, target, cfg):
@@ -611,6 +645,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(bad)
 
+    def test_oversized_config_length_rejected(self, saved, tmp_path):
+        blob = saved.read_bytes()
+        bad = tmp_path / "bad.omg"
+        bad.write_bytes(blob[:8] + struct.pack("<I", 0xFFFFFFFF) + blob[12:])
+        with pytest.raises(CheckpointCorruptError, match="config block"):
+            load_checkpoint(bad)
+
+    def test_undecodable_tensor_name_rejected(self, saved, tmp_path):
+        blob = bytearray(saved.read_bytes())
+        first = blob.index(b"patch_proj.w")
+        blob[first] = 0xFF
+        bad = tmp_path / "bad.omg"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointCorruptError, match="tensor name"):
+            load_checkpoint(bad)
+
     def _mutated(self, trained, tmp_path, mutate):
         """Rebuild the file with the reference writer, applying ``mutate`` to
         the tensor dict first."""
@@ -683,3 +733,39 @@ class TestCheckpoint:
         path = self._mutated(trained, tmp_path, lambda recs: recs[:-1])
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("target", ["layers.1.ff.w2", "layers.0.norm2.running_var"])
+    def test_non_finite_tensor_is_named(self, trained, tmp_path, target):
+        def poison(recs):
+            i = [name for name, _ in recs].index(target)
+            bad = recs[i][1].astype(np.float32).copy()
+            bad.flat[-1] = np.nan
+            recs[i] = (target, bad)
+            return recs
+
+        path = self._mutated(trained, tmp_path, poison)
+        with pytest.raises(CheckpointCorruptError, match=rf"{re.escape(repr(target))} holds non-finite"):
+            load_checkpoint(path)
+
+    def _last_record(self, trained, blob):
+        """(offset of the last tensor record, its name) in a saved file."""
+        name = list(train_mod._checkpoint_tensors(trained))[-1]
+        enc = name.encode()
+        return blob.rindex(struct.pack("<H", len(enc)) + enc), name
+
+    def test_truncated_inside_last_payload(self, trained, saved, tmp_path):
+        blob = saved.read_bytes()
+        _, name = self._last_record(trained, blob)
+        bad = tmp_path / "bad.omg"
+        bad.write_bytes(blob[: len(blob) - 8 - 6])  # the step counter and 1.5 floats short
+        with pytest.raises(CheckpointCorruptError, match=f"payload of {re.escape(name)}"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("cut,what", [("record", "tensor name length"), ("step", "step counter")])
+    def test_truncated_at_a_record_boundary(self, trained, saved, tmp_path, cut, what):
+        blob = saved.read_bytes()
+        end = self._last_record(trained, blob)[0] if cut == "record" else len(blob) - 8
+        bad = tmp_path / "bad.omg"
+        bad.write_bytes(blob[:end])
+        with pytest.raises(CheckpointCorruptError, match=what):
+            load_checkpoint(bad)
