@@ -96,10 +96,6 @@ class Batch:
         for arr in (self.inputs, self.forecast_targets, self.reconstruction_targets):
             arr.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
-
 
 @dataclass(frozen=True)
 class WindowSpan:

@@ -25,7 +25,14 @@ weights from the registry by name; the decoder heads are handed out as
 All parameters live in one flat arena: ``Model.arena`` is a single 1-D
 buffer, and each tensor's ``.data`` is a reshaped view of its slice, in spec
 order.  The optimizer updates the arena (or, for one decoder head, its
-contiguous slice) in one pass, and a clone or snapshot is one flat copy.
+contiguous slice) in one pass.
+
+The batch-norm running statistics are stated once too, in :func:`stat_spec`,
+and live in a second flat buffer, ``Model.stats``: each
+:class:`~patchcast.numerics.NormState` holds views of it, so the forward
+pass updates ``stats`` in place.  The checkpoint stores the tensors of
+``param_spec`` followed by those of ``stat_spec``, and a clone or snapshot
+is two flat copies, of the arena (or its trainable slice) and of ``stats``.
 """
 
 from __future__ import annotations
@@ -154,6 +161,23 @@ def param_spec(config: ModelConfig) -> list:
     return spec
 
 
+def stat_spec(config: ModelConfig) -> list:
+    """Every running statistic as ``(name, shape, init)``, in checkpoint order.
+
+    Batch-kind norms only: each encoder layer's ``norm1`` then ``norm2``,
+    each with its running mean (starts at zero) then its running variance
+    (starts at one).  Layer-kind models keep no statistics.
+    """
+    if config.norm_kind != "batch":
+        return []
+    return [
+        (f"layers.{i}.{norm}.{stat}", (config.d_model,), init)
+        for i in range(config.n_layers)
+        for norm in ("norm1", "norm2")
+        for stat, init in (("running_mean", "zeros"), ("running_var", "ones"))
+    ]
+
+
 @dataclass
 class DecoderParams:
     """A view of one head's tensors in the model's registry."""
@@ -173,12 +197,15 @@ class Model:
 
     ``params`` maps each name of :func:`param_spec` to its tensor, in spec
     order; every tensor's ``.data`` is a view of ``arena``, and the views
-    tile it back to back in that order.
+    tile it back to back in that order.  ``norm_states`` maps each batch
+    norm to its :class:`NormState`, whose arrays tile ``stats`` the same
+    way, in :func:`stat_spec` order.
     """
 
     config: ModelConfig
     params: dict
     arena: np.ndarray
+    stats: np.ndarray
     norm_states: dict = field(default_factory=dict)
 
     def named_parameters(self) -> dict:
@@ -186,6 +213,12 @@ class Model:
 
     def named_running_stats(self) -> dict:
         return dict(self.norm_states)
+
+    def named_stats(self, buf: Optional[np.ndarray] = None) -> dict:
+        """Views of ``buf`` (default ``stats``) under the :func:`stat_spec` names."""
+        spec = stat_spec(self.config)
+        views = tile(self.stats if buf is None else buf, [shape for _, shape, _ in spec])
+        return {name: view for (name, _, _), view in zip(spec, views)}
 
     def _head(self, role: str) -> DecoderParams:
         p = f"dec_{role}."
@@ -212,53 +245,57 @@ class Model:
         return self.arena.dtype
 
 
+def _numel(spec: list) -> int:
+    return sum(math.prod(shape) for _, shape, _ in spec)
+
+
 def parameter_count(config: ModelConfig) -> int:
     """Trainable-parameter count (running statistics excluded)."""
-    return sum(math.prod(shape) for _, shape, _ in param_spec(config))
+    return _numel(param_spec(config))
 
 
-def _build(config: ModelConfig, dtype) -> Model:
+def empty_model(config: ModelConfig, dtype=np.float32) -> Model:
+    """The structure the two specs imply, every value left uninitialised.
+
+    For callers that overwrite every parameter and statistic (checkpoint
+    load, clone): no fill, no random numbers drawn.
+    """
     spec = param_spec(config)
-    arena = np.zeros(parameter_count(config), dtype)
+    arena = np.empty(_numel(spec), dtype)
     views = tile(arena, [shape for _, shape, _ in spec])
     params = {
         name: Tensor(view, requires_grad=True) for (name, _, _), view in zip(spec, views)
     }
-    norm_states = {}
-    if config.norm_kind == "batch":
-        for i in range(config.n_layers):
-            norm_states[f"layers.{i}.norm1"] = NormState.initial(config.d_model, dtype)
-            norm_states[f"layers.{i}.norm2"] = NormState.initial(config.d_model, dtype)
-    return Model(config=config, params=params, arena=arena, norm_states=norm_states)
+    model = Model(config, params, arena, np.empty(_numel(stat_spec(config)), dtype))
+    parts: dict = {}
+    for name, view in model.named_stats().items():
+        norm, _, stat = name.rpartition(".")
+        parts.setdefault(norm, {})[stat] = view
+    model.norm_states = {norm: NormState(**views) for norm, views in parts.items()}
+    return model
 
 
 def init_params(config: ModelConfig, dtype=np.float32) -> Model:
     """Build a freshly initialized model, deterministic given config.seed.
 
-    Walks :func:`param_spec` over a zero arena: each ``normal`` tensor is
+    Walks :func:`param_spec` over an empty arena: each ``normal`` tensor is
     drawn from one generator seeded with ``config.seed`` and written into its
-    view, so draw order = spec order = checkpoint order; ``ones`` tensors are
-    filled and ``zeros`` tensors left as they are.  Running means/vars start
-    at zero/one.
+    view, so draw order = spec order = checkpoint order; ``zeros`` and
+    ``ones`` tensors are filled.  The running statistics are filled per
+    :func:`stat_spec`: means zero, variances one.
     """
-    model = _build(config, dtype)
+    model = empty_model(config, dtype)
     rng = np.random.default_rng(config.seed)
+    fills = {"zeros": 0, "ones": 1}
     for name, shape, init in param_spec(config):
         view = model.params[name].data
         if init == "normal":
             view[...] = rng.normal(0.0, 0.02, size=shape)
-        elif init == "ones":
-            view.fill(1)
+        else:
+            view.fill(fills[init])
+    for (_, _, init), view in zip(stat_spec(config), model.named_stats().values()):
+        view.fill(fills[init])
     return model
-
-
-def zeros_model(config: ModelConfig, dtype=np.float32) -> Model:
-    """The structure :func:`param_spec` implies with every parameter zero.
-
-    For callers that overwrite every tensor (checkpoint load, clone): one
-    zero-filled arena, no random numbers drawn, nothing written.
-    """
-    return _build(config, dtype)
 
 
 def encode(

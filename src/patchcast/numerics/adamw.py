@@ -6,14 +6,16 @@ pre-update parameter value rather than folded into the gradient:
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
 
 The trainable tensors tile one flat parameter buffer (for a model, its arena
-or a contiguous slice of it); the moments and the gathered gradients are
-matching flat buffers.  A step copies each ``.grad`` into its slot of the
-gradient buffer, scans that buffer once for NaN/Inf, then applies the update
-block by block, with every intermediate written into two block-sized scratch
-buffers, so the working set stays in cache.  Elementwise float ufuncs give the
-same per-element result however the array is grouped, so the step is bitwise
-equal to the per-tensor update that runs the same operations in the same
-order.
+or a contiguous slice of it); the moments and the gradients are matching flat
+buffers.  Each tensor's slot in the gradient buffer is its gradient home
+(``Tensor.grad_home``), so the reverse sweep writes its gradient there and
+nothing is gathered.  A step copies only a ``.grad`` that is not its slot
+(one set by hand), scans the gradient buffer once for NaN/Inf, then applies
+the update block by block, with every intermediate written into two
+block-sized scratch buffers, so the working set stays in cache.  Elementwise
+float ufuncs give the same per-element result however the array is grouped,
+so the step is bitwise equal to the per-tensor update that runs the same
+operations in the same order.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class AdamWState:
         Tensors that already tile one buffer in dict order (a model's arena or
         a slice of it) are updated where they live; any other set is first
         packed into a fresh buffer, and each tensor's ``.data`` becomes its
-        view of it.  All tensors must share one dtype.
+        view of it.  Each tensor's slot in ``grad`` becomes its gradient
+        home.  All tensors must share one dtype.
         """
         config = config or AdamWConfig()
         tensors = list(params.values())
@@ -97,6 +100,8 @@ class AdamWState:
                     p.data = view
         grad = np.zeros_like(flat)
         grad_views = tile(grad, [p.shape for p in tensors])
+        for p, home in zip(tensors, grad_views):
+            p.grad_home = home
         block = min(_BLOCK, flat.size)
         return cls(
             config=config,
@@ -128,7 +133,8 @@ def adamw_step(params: dict, state: AdamWState) -> None:
             raise ContractError(f"parameter {name!r} unknown to this optimizer state")
         if p.data is not slot[0]:
             raise ContractError(f"parameter {name!r} no longer lives in the optimizer's buffer")
-        np.copyto(slot[1], p.grad)  # the gradient buffer is scratch until the update
+        if p.grad is not slot[1]:
+            np.copyto(slot[1], p.grad)  # a gradient set by hand, not swept into its home
     if len(params) != len(state.slots):
         raise ContractError(
             f"step got {len(params)} of the {len(state.slots)} parameters this state updates"

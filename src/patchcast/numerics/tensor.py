@@ -14,6 +14,13 @@ Conventions
   sweep.  Distinct tapes over disjoint tensors are independent.
 - Gradients accumulate into ``Tensor.grad``; zeroing between optimizer steps
   is the caller's job (see ``zero_grads``).
+- A tensor may have a gradient home: a preallocated array, its slot in an
+  optimizer's flat gradient buffer (``AdamWState.initial`` assigns it).  The
+  sweep then writes the tensor's gradient there instead of allocating one:
+  the first contribution is copied in, later ones are added in place, which
+  is bitwise what ``grad + g`` gives.  ``.grad`` becomes the home itself, so
+  the optimizer finds it where it updates from, and the next sweep (after
+  ``zero_grads``) overwrites it; copy a ``.grad`` to keep it.
 - Scanning every op output for NaN/Inf is an opt-in debug mode
   (``set_debug_checks`` / ``debug_checks``), off by default.  The setting is
   one flag for the whole process, so it holds in worker threads too.  With it
@@ -51,9 +58,12 @@ class Tensor:
         sweep, and optimizers read it.
     dtype : numpy dtype, optional
         Force a specific float dtype (float32 or float64).
+
+    ``grad_home`` is None, or the array of ``data``'s shape that the reverse
+    sweep accumulates this tensor's gradient into.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "grad_home", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is not None:
@@ -66,6 +76,7 @@ class Tensor:
             raise ContractError(f"tensors are float32/float64 only, got {arr.dtype}")
         self.data = np.ascontiguousarray(arr)
         self.grad: Optional[np.ndarray] = None
+        self.grad_home: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -193,7 +204,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     ``loss`` must be a scalar produced on ``tape``.  Gradient buffers of
     non-parameter intermediates are freed as soon as their record has been
     consumed; parameter gradients (requires_grad tensors) persist until the
-    caller zeroes them.
+    caller zeroes them.  A tensor with a ``grad_home`` gets its gradient
+    written there (see the module notes).
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -211,8 +223,17 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 continue
             if g is None:
                 raise ContractError(f"op {rec.op} returned no gradient for a needed input")
-            # never write in place: g may be a view of another grad buffer
-            t.grad = g if t.grad is None else t.grad + g
+            if t.grad is None:
+                if t.grad_home is None:
+                    t.grad = g
+                else:
+                    np.copyto(t.grad_home, g)  # a copy keeps -0.0; 0.0 + g would not
+                    t.grad = t.grad_home
+            elif t.grad is t.grad_home:
+                np.add(t.grad, g, out=t.grad)
+            else:
+                # never write in place: g may be a view of another grad buffer
+                t.grad = t.grad + g
         if not rec.output.requires_grad:
             rec.output.grad = None  # free the intermediate
 

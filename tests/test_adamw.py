@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import patchcast.train as train_mod
 from patchcast.errors import ContractError
 from patchcast.model import ModelConfig, init_params
-from patchcast.numerics import AdamWConfig, AdamWState, Tensor, adamw_step
+from patchcast.numerics import AdamWConfig, AdamWState, Tape, Tensor, adamw_step, backward
+from patchcast.selfcheck import dual_loss_setup
+from patchcast.synth import PhenomenonSpec, generate_quantity
 
 # one step from theta=1 with grad 1 at the default hyperparameters:
 # m_hat = v_hat = 1, so theta' = 1 - lr*(1/(1+eps) + wd*1) = 0.99899000001
@@ -188,3 +191,72 @@ def test_rebound_tensor_rejected():
     params["w"].grad = np.ones(1, dtype=np.float32)
     with pytest.raises(ContractError, match="no longer lives"):
         adamw_step(params, state)
+
+
+def _swept(model, forward):
+    """Run one reverse sweep of the dual loss; returns the parameters."""
+    params = model.named_parameters()
+    tape = Tape()
+    with tape:
+        loss = forward()[0]
+    backward(tape, loss)
+    return params
+
+
+def test_backward_writes_gradients_into_the_optimizer_slots():
+    model, forward = dual_loss_setup("batch", "train")
+    state = AdamWState.initial(model.named_parameters())
+    params = _swept(model, forward)
+    twin, twin_forward = dual_loss_setup("batch", "train")  # no optimizer, no homes
+    free = _swept(twin, twin_forward)
+    for name, p in params.items():
+        assert p.grad is state.slots[name][1], name
+        assert np.shares_memory(p.grad, state.grad), name
+        assert free[name].grad_home is None
+        assert p.grad.tobytes() == free[name].grad.tobytes(), name
+
+
+def test_hand_set_gradients_step_like_swept_ones():
+    model, forward = dual_loss_setup("batch", "train")
+    twin, _ = dual_loss_setup("batch", "train")
+    state = AdamWState.initial(model.named_parameters())
+    twin_state = AdamWState.initial(twin.named_parameters())
+    params = _swept(model, forward)
+    by_hand = twin.named_parameters()
+    for name, p in by_hand.items():
+        p.grad = params[name].grad.copy()  # not the twin's slot
+    adamw_step(params, state)
+    adamw_step(by_hand, twin_state)
+    assert state.grad.tobytes() == twin_state.grad.tobytes()
+    assert model.arena.tobytes() == twin.arena.tobytes()
+
+
+def test_finetune_gives_frozen_tensors_no_gradient(monkeypatch):
+    spec = PhenomenonSpec(
+        "trended_random_walk", 20.0, 64.0, {"drift_per_s": 0.05, "step_std": 0.02}, seed=9
+    )
+    model = init_params(SMALL)
+    AdamWState.initial(model.named_parameters())  # frozen tensors have homes too
+    seen = []
+    real_step = train_mod.adamw_step
+
+    def inspecting_step(params, state):
+        for name, p in model.named_parameters().items():
+            if name in params:
+                assert p.grad is state.slots[name][1], name
+            else:
+                assert p.grad is None, f"{name} got a gradient under freeze"
+        seen.append(state.step)
+        real_step(params, state)
+
+    monkeypatch.setattr(train_mod, "adamw_step", inspecting_step)
+    train_mod.finetune(
+        model,
+        generate_quantity(spec),
+        train_mod.TrainConfig(steps=2, batch_size=4, seed=1, target_mode="finetune_forecast"),
+    )
+    assert seen == [0, 1]
+    for name, p in model.named_parameters().items():
+        assert p.grad is None, name
+        if name.startswith("dec_forecast."):
+            assert p.grad_home is None, name  # released with the loop's optimizer

@@ -136,3 +136,51 @@ def test_zero_grads_accepts_dict():
     params["w"].grad = np.ones(1, dtype=np.float32)
     zero_grads(params)
     assert params["w"].grad is None
+
+
+def _homed(values):
+    """A parameter with a gradient home whose stale contents must not leak in."""
+    x = Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
+    x.grad_home = np.full(x.shape, 7.0, dtype=np.float32)
+    return x
+
+
+def test_gradient_lands_in_its_home():
+    x = _homed([1.0, 2.0])
+    tape = Tape()
+    with tape:
+        loss = sum_all(scale(x, 3.0))
+    backward(tape, loss)
+    assert x.grad is x.grad_home
+    assert_array_equal(x.grad, [3.0, 3.0])
+
+
+def test_two_uses_accumulate_in_the_home_bitwise():
+    rng = np.random.default_rng(0)
+    w0 = rng.normal(size=(3, 4)).astype(np.float32)
+    a, b = (Tensor(rng.normal(size=(4, n)).astype(np.float32)) for n in (5, 2))
+    ta, tb = (Tensor(rng.normal(size=(3, n)).astype(np.float32)) for n in (5, 2))
+
+    def grad_of(loss_fn, w):
+        tape = Tape()
+        with tape:
+            loss = loss_fn(w)
+        backward(tape, loss)
+        return w.grad
+
+    g1 = grad_of(lambda w: mse(matmul(w, a), ta), Tensor(w0, requires_grad=True))
+    g2 = grad_of(lambda w: mse(matmul(w, b), tb), Tensor(w0, requires_grad=True))
+    w = _homed(w0)
+    both = grad_of(lambda w: add(mse(matmul(w, a), ta), mse(matmul(w, b), tb)), w)
+    assert both is w.grad_home
+    assert both.tobytes() == (g1 + g2).tobytes()
+
+
+def test_negative_zero_single_contribution_stays_negative_zero():
+    x = _homed([1.0])
+    tape = Tape()
+    with tape:
+        loss = sum_all(scale(x, -0.0))
+    backward(tape, loss)
+    assert x.grad is x.grad_home
+    assert x.grad[0] == 0.0 and np.signbit(x.grad[0])

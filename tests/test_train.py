@@ -479,6 +479,26 @@ class TestArena:
             assert not any(np.shares_memory(values, a) for a in arrays), name
             assert not np.shares_memory(values, second[name]), name
 
+    def test_clone_and_snapshot_restore_bitwise(self, pool):
+        res = pretrain(pool, small_config(), TrainConfig(steps=4, batch_size=4, seed=3, eval_every=2))
+        model = res.model
+        twin = clone_model(model)
+        for copy, src in ((twin.arena, model.arena), (twin.stats, model.stats)):
+            assert not np.shares_memory(copy, src)
+            assert copy.tobytes() == src.tobytes()
+        _, snap = res.snapshots[0]
+        kept = {name: values.copy() for name, values in snap.items()}
+        for values in snap.values():
+            assert not np.shares_memory(values, model.arena)
+            assert not np.shares_memory(values, model.stats)
+        model.arena.fill(np.nan)
+        model.stats.fill(np.nan)
+        restore_snapshot(model, snap)
+        live = train_mod._checkpoint_tensors(model)
+        assert set(live) == set(kept)
+        for name, values in live.items():
+            assert values.tobytes() == kept[name].tobytes(), name
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_last_finite_snapshot_shares_no_memory(self, pool, monkeypatch):
         built = []
@@ -686,6 +706,29 @@ class TestCheckpoint:
         path = tmp_path / "mut.omg"
         path.write_bytes(bytes(out))
         return path
+
+    def test_swapped_records_rejected(self, trained, tmp_path):
+        # two same-shaped records trade places: the file keeps its exact size
+        def swap(recs):
+            names = [name for name, _ in recs]
+            i, j = names.index("layers.0.attn.wq"), names.index("layers.0.attn.wk")
+            recs[i], recs[j] = recs[j], recs[i]
+            return recs
+
+        path = self._mutated(trained, tmp_path, swap)
+        assert path.stat().st_size == len(reference_bytes(trained, 0))
+        with pytest.raises(CheckpointCorruptError, match="'layers.0.attn.wk'"):
+            load_checkpoint(path)
+
+    def test_altered_rank_byte_rejected(self, saved, tmp_path):
+        blob = bytearray(saved.read_bytes())
+        rank_at = blob.index(b"patch_proj.w") + len(b"patch_proj.w")
+        assert blob[rank_at] == 2
+        blob[rank_at] = 1
+        bad = tmp_path / "bad.omg"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointCorruptError, match="patch_proj.w"):
+            load_checkpoint(bad)
 
     def test_duplicate_tensor_rejected(self, trained, tmp_path):
         # same record count, one name repeated
