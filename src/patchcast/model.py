@@ -7,18 +7,28 @@ attention + feedforward blocks (post-norm residuals) refines the sequence;
 the summary token's final embedding feeds two small MLP heads, one rebuilding
 the input window and one predicting the next ``l_pred`` samples.
 
-Everything here is functional over :class:`~patchcast.numerics.Tensor`, so
-the same code path serves training (on tape) and inference (no tape).  Every
-projection (patch, q/k/v/o, feedforward, head layers) is one fused ``linear``
-op, so it costs one tape record.  ReLU propagates NaN, so a non-finite weight
-reaches the decoder output, and ``_decode`` checks that output once: it is the
-boundary every caller passes (eval sweeps, the stream forecast, the CLI and
-both training heads), so the per-op scans can stay off.
+``encode`` and ``_decode`` each have one body, written against the op
+vocabulary of :mod:`patchcast.numerics.ops`.  One rule picks the path:
+with a tape open on the calling thread the body runs on Tensors and every op
+is recorded (training); with none it runs the ops' array kernels on plain
+arrays, and only the returned values (and any ``taps``) become Tensors.  The
+untaped path serves the stream forecast, ``trace``, every eval slab and a
+frozen encoder under finetuning.  Both paths run the same kernels, so their
+outputs are bitwise equal.  In infer mode the batch-norm scales
+(``1/sqrt(running_var + eps)``) are computed once per ``encode`` from the
+variance rows of ``Model.stats``.
 
-The parameter set is stated once, in :func:`param_spec`: an ordered list of
-``(name, shape, init)``.  The model holds one registry built from it, and
-``parameter_count``, ``init_params`` and the checkpoint format derive from
-it, so draw order = spec order = checkpoint order.  The layers read their
+Every projection (patch, q/k/v/o, feedforward, head layers) is one fused
+``linear`` op, so it costs one tape record.  ReLU propagates NaN, so a
+non-finite weight reaches the decoder output, and ``_decode`` checks that
+output once: it is the boundary every caller passes (eval sweeps, the stream
+forecast, the CLI and both training heads), so the per-op scans can stay off.
+
+The parameter set is stated once, in :func:`param_spec`: an ordered tuple of
+``(name, shape, init)``, built once per config.  The model holds one
+registry built from it, and ``parameter_count``, ``init_params`` and the
+checkpoint format derive from it, so draw order = spec order = checkpoint
+order.  The layers read their
 weights from the registry by name; the decoder heads are handed out as
 :class:`DecoderParams` views over the same tensors.
 
@@ -37,27 +47,16 @@ is two flat copies, of the arena (or its trainable slice) and of ``stats``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .numerics import (
-    NormState,
-    Tensor,
-    add,
-    append_token,
-    causal_attention,
-    linear,
-    normalize,
-    relu,
-    reshape,
-    select_position,
-    tile,
-)
-from .numerics.ops import NORM_KINDS
+from .numerics import NormState, Tensor, tile
+from .numerics.ops import NORM_KINDS, forward_ops, inverse_std
 
 
 @dataclass(frozen=True)
@@ -118,12 +117,13 @@ class ModelConfig:
         return cls(**kwargs)
 
 
-def param_spec(config: ModelConfig) -> list:
+@functools.lru_cache(maxsize=16)
+def param_spec(config: ModelConfig) -> tuple:
     """Every trainable tensor as ``(name, shape, init)``, in checkpoint order.
 
-    This list is the one statement of the parameter set; the model's
+    This tuple is the one statement of the parameter set; the model's
     registry, ``parameter_count``, ``init_params`` and the checkpoint all
-    derive from it.  ``init`` is ``"normal"`` (N(0, 0.02) from the seeded
+    derive from it.  It is built once per config.  ``init`` is ``"normal"`` (N(0, 0.02) from the seeded
     generator), ``"zeros"`` or ``"ones"``.  The positional table has one
     row per patch plus a last row for the summary token; the reconstruction
     head's hidden width is half the window it rebuilds.
@@ -158,24 +158,51 @@ def param_spec(config: ModelConfig) -> list:
             (p + "w1", (d, hidden), "normal"), (p + "b1", (hidden,), "zeros"),
             (p + "w2", (hidden, out), "normal"), (p + "b2", (out,), "zeros"),
         ]
-    return spec
+    return tuple(spec)
 
 
-def stat_spec(config: ModelConfig) -> list:
+@functools.lru_cache(maxsize=16)
+def stat_spec(config: ModelConfig) -> tuple:
     """Every running statistic as ``(name, shape, init)``, in checkpoint order.
 
     Batch-kind norms only: each encoder layer's ``norm1`` then ``norm2``,
     each with its running mean (starts at zero) then its running variance
-    (starts at one).  Layer-kind models keep no statistics.
+    (starts at one).  Layer-kind models keep no statistics.  Built once per
+    config.
     """
     if config.norm_kind != "batch":
-        return []
-    return [
+        return ()
+    return tuple(
         (f"layers.{i}.{norm}.{stat}", (config.d_model,), init)
         for i in range(config.n_layers)
         for norm in ("norm1", "norm2")
         for stat, init in (("running_mean", "zeros"), ("running_var", "ones"))
-    ]
+    )
+
+
+class _Frame(NamedTuple):
+    """The buffer layout the two specs imply, built once per config."""
+
+    names: tuple  # param_spec names, in order
+    shapes: tuple
+    size: int  # arena elements
+    stat_names: tuple  # stat_spec names, in order
+    stat_shapes: tuple
+    stat_size: int  # stats elements
+    norms: tuple  # each batch norm's name, in stat_spec order
+
+
+@functools.lru_cache(maxsize=16)
+def _frame(config: ModelConfig) -> _Frame:
+    names, shapes, _ = zip(*param_spec(config))
+    stats = stat_spec(config)
+    stat_names = tuple(name for name, _, _ in stats)
+    stat_shapes = tuple(shape for _, shape, _ in stats)
+    return _Frame(
+        names, shapes, sum(map(math.prod, shapes)),
+        stat_names, stat_shapes, sum(map(math.prod, stat_shapes)),
+        tuple(dict.fromkeys(name.rpartition(".")[0] for name in stat_names)),
+    )
 
 
 @dataclass
@@ -216,9 +243,8 @@ class Model:
 
     def named_stats(self, buf: Optional[np.ndarray] = None) -> dict:
         """Views of ``buf`` (default ``stats``) under the :func:`stat_spec` names."""
-        spec = stat_spec(self.config)
-        views = tile(self.stats if buf is None else buf, [shape for _, shape, _ in spec])
-        return {name: view for (name, _, _), view in zip(spec, views)}
+        frame = _frame(self.config)
+        return dict(zip(frame.stat_names, tile(self.stats if buf is None else buf, frame.stat_shapes)))
 
     def _head(self, role: str) -> DecoderParams:
         p = f"dec_{role}."
@@ -245,13 +271,9 @@ class Model:
         return self.arena.dtype
 
 
-def _numel(spec: list) -> int:
-    return sum(math.prod(shape) for _, shape, _ in spec)
-
-
 def parameter_count(config: ModelConfig) -> int:
     """Trainable-parameter count (running statistics excluded)."""
-    return _numel(param_spec(config))
+    return _frame(config).size
 
 
 def empty_model(config: ModelConfig, dtype=np.float32) -> Model:
@@ -260,18 +282,18 @@ def empty_model(config: ModelConfig, dtype=np.float32) -> Model:
     For callers that overwrite every parameter and statistic (checkpoint
     load, clone): no fill, no random numbers drawn.
     """
-    spec = param_spec(config)
-    arena = np.empty(_numel(spec), dtype)
-    views = tile(arena, [shape for _, shape, _ in spec])
+    frame = _frame(config)
+    arena = np.empty(frame.size, dtype)
     params = {
-        name: Tensor(view, requires_grad=True) for (name, _, _), view in zip(spec, views)
+        name: Tensor(view, requires_grad=True)
+        for name, view in zip(frame.names, tile(arena, frame.shapes))
     }
-    model = Model(config, params, arena, np.empty(_numel(stat_spec(config)), dtype))
-    parts: dict = {}
-    for name, view in model.named_stats().items():
-        norm, _, stat = name.rpartition(".")
-        parts.setdefault(norm, {})[stat] = view
-    model.norm_states = {norm: NormState(**views) for norm, views in parts.items()}
+    model = Model(config, params, arena, np.empty(frame.stat_size, dtype))
+    stats = model.named_stats()
+    model.norm_states = {
+        norm: NormState(stats[norm + ".running_mean"], stats[norm + ".running_var"])
+        for norm in frame.norms
+    }
     return model
 
 
@@ -298,6 +320,19 @@ def init_params(config: ModelConfig, dtype=np.float32) -> Model:
     return model
 
 
+def _inverse_stds(model: Model, mode: str) -> dict:
+    """Each batch norm's infer-mode ``inverse_std``, keyed by norm name.
+
+    One pass over the running-variance rows of ``stats`` (each norm's mean
+    row is followed by its variance row), bitwise what each norm would
+    compute on its own.  Empty in train mode and for layer-kind models.
+    """
+    if mode != "infer" or not model.norm_states:
+        return {}
+    var_rows = model.stats.reshape(len(model.norm_states), 2, -1)[:, 1]
+    return dict(zip(model.norm_states, inverse_std(var_rows)))
+
+
 def encode(
     patches: Union[Tensor, np.ndarray],
     model: Model,
@@ -309,17 +344,16 @@ def encode(
     Accepts one patch grid (n, l_patch) or a batch (B, n, l_patch); outputs
     are ((n+1, d), (d,)) or ((B, n+1, d), (B, d)) correspondingly.  Pass a
     dict as ``taps`` to capture named intermediates (currently the ReLU
-    pre-activations, keyed ``layers.{i}.ff.preact``) for inspection.
+    pre-activations, keyed ``layers.{i}.ff.preact``) for inspection.  With
+    no tape open the body runs on plain arrays (see the module notes).
     """
     cfg = model.config
-    if isinstance(patches, Tensor):
-        x = patches
-    else:
-        x = Tensor(np.asarray(patches, dtype=model.dtype))
-    single = x.data.ndim == 2
+    ops = forward_ops()
+    x = ops.lift(patches, model.dtype)
+    single = x.ndim == 2
     if single:
-        x = reshape(x, (1,) + x.shape)
-    if x.data.ndim != 3:
+        x = ops.reshape(x, (1,) + x.shape)
+    if x.ndim != 3:
         raise ShapeError(f"encode expects (n, l_patch) or (B, n, l_patch), got {x.shape}")
     B, n, lp = x.shape
     if n != cfg.n_patches or lp != cfg.l_patch:
@@ -327,62 +361,65 @@ def encode(
             f"patch grid {n}x{lp} does not match config {cfg.n_patches}x{cfg.l_patch}"
         )
 
-    p = model.params
-    h = linear(x, p["patch_proj.w"], p["patch_proj.b"])  # (B, n, d)
-    h = append_token(h, p["seq_token"])  # (B, n+1, d)
-    h = add(h, p["pos_emb"])  # every position, summary token included
+    p = ops.params(model.params)
+    inv_std = _inverse_stds(model, mode)
+
+    def norm(y, name):
+        return ops.normalize(
+            y, cfg.norm_kind, p[name + ".gain"], p[name + ".bias"],
+            model.norm_states.get(name), mode, inv_std=inv_std.get(name),
+        )
+
+    h = ops.linear(x, p["patch_proj.w"], p["patch_proj.b"])  # (B, n, d)
+    h = ops.append_token(h, p["seq_token"])  # (B, n+1, d)
+    h = ops.add(h, p["pos_emb"])  # every position, summary token included
 
     for i in range(cfg.n_layers):
         layer = f"layers.{i}."
-        q = linear(h, p[layer + "attn.wq"], p[layer + "attn.bq"])
-        k = linear(h, p[layer + "attn.wk"], p[layer + "attn.bk"])
-        v = linear(h, p[layer + "attn.wv"], p[layer + "attn.bv"])
-        attn = causal_attention(q, k, v, cfg.n_heads)
-        attn = linear(attn, p[layer + "attn.wo"], p[layer + "attn.bo"])
-        attn = normalize(
-            attn, cfg.norm_kind, p[layer + "norm1.gain"], p[layer + "norm1.bias"],
-            state=model.norm_states.get(layer + "norm1"), mode=mode,
-        )
-        h = add(h, attn)
-        pre = linear(h, p[layer + "ff.w1"], p[layer + "ff.b1"])
+        q = ops.linear(h, p[layer + "attn.wq"], p[layer + "attn.bq"])
+        k = ops.linear(h, p[layer + "attn.wk"], p[layer + "attn.bk"])
+        v = ops.linear(h, p[layer + "attn.wv"], p[layer + "attn.bv"])
+        attn = ops.causal_attention(q, k, v, cfg.n_heads)
+        attn = ops.linear(attn, p[layer + "attn.wo"], p[layer + "attn.bo"])
+        h = ops.add(h, norm(attn, layer + "norm1"))
+        pre = ops.linear(h, p[layer + "ff.w1"], p[layer + "ff.b1"])
         if taps is not None:
-            taps[layer + "ff.preact"] = pre
-        ff = linear(relu(pre), p[layer + "ff.w2"], p[layer + "ff.b2"])
-        ff = normalize(
-            ff, cfg.norm_kind, p[layer + "norm2.gain"], p[layer + "norm2.bias"],
-            state=model.norm_states.get(layer + "norm2"), mode=mode,
-        )
-        h = add(h, ff)
+            taps[layer + "ff.preact"] = ops.tensor(pre)
+        ff = ops.linear(ops.relu(pre), p[layer + "ff.w2"], p[layer + "ff.b2"])
+        h = ops.add(h, norm(ff, layer + "norm2"))
 
-    seq_emb = select_position(h, cfg.n_patches)  # (B, d)
+    seq_emb = ops.select_position(h, cfg.n_patches)  # (B, d)
     if single:
-        h = reshape(h, h.shape[1:])
-        seq_emb = reshape(seq_emb, (cfg.d_model,))
-    return h, seq_emb
+        h = ops.reshape(h, h.shape[1:])
+        seq_emb = ops.reshape(seq_emb, (cfg.d_model,))
+    return ops.tensor(h), ops.tensor(seq_emb)
 
 
 def _decode(z, params: DecoderParams, role: str, taps: Optional[dict]) -> Tensor:
     if params.role != role:
         raise ContractError(f"decoder role is {params.role!r}, expected {role!r}")
-    if isinstance(z, Tensor):
-        zt = z
-    else:
-        zt = Tensor(np.asarray(z, dtype=params.w1.data.dtype))
-    single = zt.data.ndim == 1
+    ops = forward_ops()
+    zt = ops.lift(z, params.w1.data.dtype)
+    single = zt.ndim == 1
     if single:
-        zt = reshape(zt, (1,) + zt.shape)
+        zt = ops.reshape(zt, (1,) + zt.shape)
     d = params.norm_gain.shape[0]
-    if zt.data.ndim != 2 or zt.shape[1] != d:
+    if zt.ndim != 2 or zt.shape[1] != d:
         raise ShapeError(f"decoder expects embeddings of width {d}, got {zt.shape}")
-    h = normalize(zt, "layer", params.norm_gain, params.norm_bias)
-    pre = linear(h, params.w1, params.b1)
+    p = ops.params({
+        "gain": params.norm_gain, "bias": params.norm_bias,
+        "w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2,
+    })
+    h = ops.normalize(zt, "layer", p["gain"], p["bias"])
+    pre = ops.linear(h, p["w1"], p["b1"])
     if taps is not None:
-        taps[f"dec_{role}.preact"] = pre
-    out = linear(relu(pre), params.w2, params.b2)
+        taps[f"dec_{role}.preact"] = ops.tensor(pre)
+    out = ops.linear(ops.relu(pre), p["w2"], p["b2"])
+    if single:
+        out = ops.reshape(out, (out.shape[1],))
+    out = ops.tensor(out)
     if not np.isfinite(out.data).all():
         raise NumericError(f"non-finite values in the {role} decoder's output")
-    if single:
-        out = reshape(out, (out.shape[1],))
     return out
 
 

@@ -1,16 +1,28 @@
-"""Primitive differentiable operations.
+"""Primitive differentiable operations, each a kernel plus a taped wrapper.
 
-Each op validates shapes, computes the forward value with numpy, and — when a
-tape is active — records a closure holding exactly the arrays its backward
-rule needs.  Backward rules are hand-derived; the gradient checker in
-``gradcheck`` is the referee.
+The kernel of an op (``linear_kernel``, ``normalize_kernel``, ...) works on
+bare numpy arrays: it validates shapes and dtypes, computes the forward value
+and hands back the arrays the backward rule needs.  The wrapper of the same
+name without the suffix takes Tensors, runs the kernel, wraps its output in a
+Tensor and, when a tape is open, records a closure over the kernel's saved
+arrays.  So each op's forward math exists once, in its kernel.  Backward
+rules are hand-derived; the gradient checker in ``gradcheck`` is the
+referee.
 
-Every model projection is one ``linear`` record: a single GEMM over the
+Model bodies are written once, against a :class:`Forward` vocabulary:
+``TAPED`` (the wrappers, over Tensors) or ``PLAIN`` (the kernels, over
+arrays).  :func:`forward_ops` picks one by a single rule: ``TAPED`` when a
+tape is open on the calling thread, ``PLAIN`` otherwise.  The plain path
+builds no Tensor, closure or record per op; only the body's results become
+Tensors.
+
+Every model projection is one ``linear`` op: a single GEMM over the
 flattened leading axes plus the bias.  ``relu`` propagates NaN, so a
 non-finite value reaches the model's outputs and the loss.  Scanning each op
 output for NaN/Inf is an opt-in debug mode, set for the whole process with
-``set_debug_checks``; it is off by default, and then the callers check at the
-boundaries instead (see ``tensor``).
+``set_debug_checks``; the kernels run the scan, so it covers both paths.  It
+is off by default, and then the callers check at the boundaries instead (see
+``tensor``).
 
 Shape glossary used below: B batch, T sequence length, D model width,
 h head count.
@@ -21,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,10 +42,10 @@ from .tensor import Tensor, check_finite, current_tape, TapeRecord
 
 NORM_KINDS = ("batch", "layer")
 NORM_MODES = ("train", "infer")
+EPS = 1e-5  # the variance floor of every norm
 
 
 def _record(op: str, inputs: tuple, out: Tensor, backward_fn) -> None:
-    check_finite(op, out.data)
     tape = current_tape()
     if tape is None:
         return
@@ -41,11 +54,15 @@ def _record(op: str, inputs: tuple, out: Tensor, backward_fn) -> None:
     tape._produced.add(id(out))
 
 
-def _same_dtype(op: str, *tensors: Tensor) -> None:
-    dt = tensors[0].data.dtype
-    for t in tensors[1:]:
-        if t.data.dtype != dt:
-            names = sorted({t.data.dtype.name for t in tensors})
+def _same_dtype(op: str, *arrays) -> None:
+    """Raise ContractError unless every array has the first one's dtype.
+
+    Hot kernels compare the dtypes inline and call this only to raise.
+    """
+    dt = arrays[0].dtype
+    for a in arrays[1:]:
+        if a.dtype != dt:
+            names = sorted({a.dtype.name for a in arrays})
             raise ContractError(f"{op}: mixed dtypes {names}")
 
 
@@ -71,8 +88,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     _same_dtype("matmul", a, b)
-    out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
+    c = ad @ bd
+    check_finite("matmul", c)
+    out = Tensor(c)
 
     def bwd(dout, needs):
         da = dout @ bd.T if needs[0] else None
@@ -83,26 +102,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Y = X @ W + b over the last axis: (..., D_in) -> (..., D_out), one record.
-
-    The leading axes are flattened into one GEMM on a (N, D_in) view of X.
-    dX = dY @ W^T, dW = X^T @ dY, db = dY summed over the N rows.
-    """
-    if x.data.ndim < 1 or w.data.ndim != 2:
+def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X @ W + b over the last axis, as one GEMM on a (N, D_in) view of X."""
+    if x.ndim < 1 or w.ndim != 2:
         raise ShapeError(f"linear expects (..., D_in) and 2-D weights, got {x.shape} and {w.shape}")
     d_in, d_out = w.shape
     if x.shape[-1] != d_in:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
     if b.shape != (d_out,):
         raise ShapeError(f"linear bias must have shape ({d_out},), got {b.shape}")
-    _same_dtype("linear", x, w, b)
-    in_shape = x.shape
-    flat = x.data.reshape(-1, d_in)
+    if w.dtype != x.dtype or b.dtype != x.dtype:
+        _same_dtype("linear", x, w, b)
+    y = x.reshape(-1, d_in) @ w
+    y += b
+    y = y.reshape(x.shape[:-1] + (d_out,))
+    check_finite("linear", y)
+    return y
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Y = X @ W + b over the last axis: (..., D_in) -> (..., D_out), one record.
+
+    dX = dY @ W^T, dW = X^T @ dY, db = dY summed over the flattened rows.
+    """
     wd = w.data
-    y = flat @ wd
-    y += b.data
-    out = Tensor(y.reshape(in_shape[:-1] + (d_out,)))
+    out = Tensor(linear_kernel(x.data, wd, b.data))
+    in_shape = x.shape
+    d_in, d_out = wd.shape
+    flat = x.data.reshape(-1, d_in)
 
     def bwd(dout, needs):
         d2 = dout.reshape(-1, d_out)
@@ -115,13 +142,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum with numpy broadcasting; gradients reduce back."""
-    _same_dtype("add", a, b)
+def add_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.dtype != b.dtype:
+        _same_dtype("add", a, b)
     try:
-        out = Tensor(a.data + b.data)
+        y = a + b
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+    check_finite("add", y)
+    return y
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum with numpy broadcasting; gradients reduce back."""
+    out = Tensor(add_kernel(a.data, b.data))
     a_shape, b_shape = a.shape, b.shape
 
     def bwd(dout, needs):
@@ -136,7 +170,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python constant (used for loss weighting)."""
     c = float(c)
-    out = Tensor(x.data * c)
+    y = x.data * c
+    check_finite("scale", y)
+    out = Tensor(y)
 
     def bwd(dout, needs):
         return (dout * c if needs[0] else None,)
@@ -145,11 +181,17 @@ def scale(x: Tensor, c: float) -> Tensor:
     return out
 
 
+def relu_kernel(x: np.ndarray) -> np.ndarray:
+    y = np.maximum(x, 0)
+    check_finite("relu", y)
+    return y
+
+
 def relu(x: Tensor) -> Tensor:
     """max(x, 0).  NaN propagates (a NaN input gives a NaN output); -0.0 maps
     to +0.0.  The gradient passes where x > 0 and is zero elsewhere."""
     xd = x.data
-    out = Tensor(np.maximum(xd, 0))
+    out = Tensor(relu_kernel(xd))
 
     def bwd(dout, needs):
         return (dout * (xd > 0) if needs[0] else None,)
@@ -158,11 +200,18 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def reshape(x: Tensor, shape: tuple) -> Tensor:
+def reshape_kernel(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """A view of ``x`` in ``shape``; every dimension explicit and >= 0."""
     shape = tuple(int(n) for n in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    if min(shape, default=0) < 0 or math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} ({x.size} elements) to {shape}")
-    out = Tensor(x.data.reshape(shape))
+    y = x.reshape(shape)
+    check_finite("reshape", y)
+    return y
+
+
+def reshape(x: Tensor, shape: tuple) -> Tensor:
+    out = Tensor(reshape_kernel(x.data, shape))
     in_shape = x.shape
 
     def bwd(dout, needs):
@@ -184,6 +233,46 @@ def _causal_mask(T: int, dtype: np.dtype) -> np.ndarray:
     return mask
 
 
+def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, T, D) -> (B, h, T, D/h), a view."""
+    B, T, D = a.shape
+    return a.reshape(B, T, n_heads, D // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(B, h, T, hd) -> (B, T, h*hd)."""
+    B, h, T, hd = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(B, T, h * hd)
+
+
+def causal_attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
+    """Multi-head causal attention; returns (out, (qh, kh, vh, weights, scale)).
+
+    The softmax runs in place over the score array, which becomes the
+    (B, h, T, T) weights.
+    """
+    if q.ndim != 3:
+        raise ShapeError(f"attention expects (B, T, D) inputs, got {q.shape}")
+    if not (q.shape == k.shape == v.shape):
+        raise ShapeError(f"attention q/k/v shapes differ: {q.shape} {k.shape} {v.shape}")
+    if k.dtype != q.dtype or v.dtype != q.dtype:
+        _same_dtype("causal_attention", q, k, v)
+    B, T, D = q.shape
+    if n_heads < 1 or D % n_heads != 0:
+        raise ShapeError(f"width {D} not divisible by n_heads={n_heads}")
+    qh, kh, vh = _split_heads(q, n_heads), _split_heads(k, n_heads), _split_heads(v, n_heads)
+    inv = 1.0 / math.sqrt(D // n_heads)  # python float: a numpy scalar would upcast float32
+    w = qh @ kh.transpose(0, 1, 3, 2)
+    w *= inv
+    w += _causal_mask(T, q.dtype)
+    w -= w.max(axis=-1, keepdims=True)  # diagonal is never masked, so the max is finite
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    y = _merge_heads(w @ vh)
+    check_finite("causal_attention", y)
+    return y, (qh, kh, vh, w, inv)
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Fused multi-head attention with a strict causal mask.
 
@@ -192,39 +281,16 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     weights are exactly zero and output row i is bitwise independent of any
     row > i.
     """
-    if q.data.ndim != 3:
-        raise ShapeError(f"attention expects (B, T, D) inputs, got {q.shape}")
-    if not (q.shape == k.shape == v.shape):
-        raise ShapeError(f"attention q/k/v shapes differ: {q.shape} {k.shape} {v.shape}")
-    _same_dtype("causal_attention", q, k, v)
-    B, T, D = q.shape
-    if n_heads < 1 or D % n_heads != 0:
-        raise ShapeError(f"width {D} not divisible by n_heads={n_heads}")
-    hd = D // n_heads
-
-    def split(a):  # (B, T, D) -> (B, h, T, hd)
-        return a.reshape(B, T, n_heads, hd).transpose(0, 2, 1, 3)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    inv = 1.0 / math.sqrt(hd)  # python float: a numpy scalar would upcast float32
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv
-    scores += _causal_mask(T, q.data.dtype)
-    m = scores.max(axis=-1, keepdims=True)  # diagonal is never masked, so finite
-    e = np.exp(scores - m)
-    w = e / e.sum(axis=-1, keepdims=True)  # (B, h, T, T)
-    out_h = w @ vh
-    out = Tensor(out_h.transpose(0, 2, 1, 3).reshape(B, T, D))
-
-    def merge(a):  # (B, h, T, hd) -> (B, T, D)
-        return a.transpose(0, 2, 1, 3).reshape(B, T, D)
+    y, (qh, kh, vh, w, inv) = causal_attention_kernel(q.data, k.data, v.data, n_heads)
+    out = Tensor(y)
 
     def bwd(dout, needs):
-        do_h = split(dout)
+        do_h = _split_heads(dout, n_heads)
         dw = do_h @ vh.transpose(0, 1, 3, 2)
         ds = w * (dw - (w * dw).sum(axis=-1, keepdims=True))  # softmax backward
-        dq = merge((ds @ kh) * inv) if needs[0] else None
-        dk = merge((ds.transpose(0, 1, 3, 2) @ qh) * inv) if needs[1] else None
-        dv = merge(w.transpose(0, 1, 3, 2) @ do_h) if needs[2] else None
+        dq = _merge_heads((ds @ kh) * inv) if needs[0] else None
+        dk = _merge_heads((ds.transpose(0, 1, 3, 2) @ qh) * inv) if needs[1] else None
+        dv = _merge_heads(w.transpose(0, 1, 3, 2) @ do_h) if needs[2] else None
         return dq, dk, dv
 
     _record("causal_attention", (q, k, v), out, bwd)
@@ -254,6 +320,80 @@ class NormState:
         return NormState(self.running_mean.copy(), self.running_var.copy())
 
 
+def inverse_std(var: np.ndarray, eps: float = EPS) -> np.ndarray:
+    """1 / sqrt(var + eps), elementwise: the scale every norm applies."""
+    return 1.0 / np.sqrt(var + eps)
+
+
+def _norm_op(kind: str, mode: str) -> str:
+    if kind == "layer":
+        return "layer_norm"
+    return "batch_norm" if mode == "train" else "batch_norm_infer"
+
+
+def normalize_kernel(
+    x: np.ndarray,
+    kind: str,
+    g: np.ndarray,
+    b: np.ndarray,
+    state: NormState | None = None,
+    mode: str = "train",
+    eps: float = EPS,
+    momentum: float = 0.1,
+    inv_std: np.ndarray | None = None,
+    keep: bool = True,
+):
+    """Normalize the last axis, then ``g * xhat + b``; returns (y, xhat, inv_std).
+
+    See :func:`normalize` for the kinds and modes.  With ``keep`` false the
+    affine map runs in place over the normalized array and ``xhat`` comes
+    back as None.
+    """
+    if kind not in NORM_KINDS:
+        raise ContractError(f"unknown norm kind {kind!r}")
+    if mode not in NORM_MODES:
+        raise ContractError(f"unknown norm mode {mode!r}")
+    if x.ndim < 2:
+        raise ShapeError(f"normalize expects ndim >= 2, got {x.shape}")
+    d = x.shape[-1]
+    if g.shape != (d,) or b.shape != (d,):
+        raise ShapeError(f"gain/bias must have shape ({d},), got {g.shape} and {b.shape}")
+    if g.dtype != x.dtype or b.dtype != x.dtype:
+        _same_dtype("normalize", x, g, b)
+    if kind == "layer":
+        shift = x.mean(axis=-1, keepdims=True)
+        inv_std = inverse_std(x.var(axis=-1, keepdims=True), eps)
+    elif state is None:
+        raise ContractError("batch-kind normalize requires running statistics")
+    elif mode == "train":
+        if x.shape[0] < 2:
+            raise DegenerateBatchError(
+                f"batch-kind norm in train mode needs a batch of >= 2, got {x.shape[0]}"
+            )
+        pool = tuple(range(x.ndim - 1))
+        n = math.prod(x.shape[:-1])
+        shift = x.mean(axis=pool)
+        var = x.var(axis=pool)  # biased: used for the normalization itself
+        inv_std = inverse_std(var, eps)
+        # unbiased variance feeds the running buffer
+        state.running_mean += momentum * (shift - state.running_mean)
+        state.running_var += momentum * (var * n / (n - 1) - state.running_var)
+    else:
+        shift = state.running_mean
+        if inv_std is None:
+            inv_std = inverse_std(state.running_var, eps)
+    xhat = x - shift
+    xhat *= inv_std
+    if keep:
+        y = g * xhat
+    else:
+        y, xhat = xhat, None
+        y *= g
+    y += b
+    check_finite(_norm_op(kind, mode), y)
+    return y, xhat, inv_std
+
+
 def normalize(
     x: Tensor,
     kind: str,
@@ -261,47 +401,44 @@ def normalize(
     bias: Tensor,
     state: NormState | None = None,
     mode: str = "train",
-    eps: float = 1e-5,
+    eps: float = EPS,
     momentum: float = 0.1,
+    inv_std: np.ndarray | None = None,
 ) -> Tensor:
     """Normalize features (last axis) then apply a learned affine map.
 
     kind="batch": statistics pool over every axis except the last.  Train mode
     uses batch statistics (biased variance) and folds them into ``state`` with
     the given momentum (unbiased variance goes into the running buffer); infer
-    mode reads the running statistics.  Train mode requires a leading-axis
-    extent of at least 2.
+    mode reads the running statistics, and takes ``inv_std`` as their
+    ``inverse_std`` when the caller has it already.  Train mode requires a
+    leading-axis extent of at least 2.
 
     kind="layer": statistics are per sample over the last axis; ``mode`` and
     ``state`` are irrelevant.
     """
-    if kind not in NORM_KINDS:
-        raise ContractError(f"unknown norm kind {kind!r}")
-    if mode not in NORM_MODES:
-        raise ContractError(f"unknown norm mode {mode!r}")
-    if x.data.ndim < 2:
-        raise ShapeError(f"normalize expects ndim >= 2, got {x.shape}")
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
-        )
-    _same_dtype("normalize", x, gain, bias)
-    xd = x.data
-    g, b = gain.data, bias.data
+    g = gain.data
+    y, xhat, inv_std = normalize_kernel(
+        x.data, kind, g, bias.data, state, mode, eps, momentum, inv_std
+    )
+    out = Tensor(y)
+    pool = tuple(range(x.data.ndim - 1))
+    op = _norm_op(kind, mode)
 
-    if kind == "layer":
-        axes = (-1,)
-        mu = xd.mean(axis=-1, keepdims=True)
-        var = xd.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (xd - mu) * inv_std
-        out = Tensor(g * xhat + b)
-        n = d
+    if op == "batch_norm_infer":  # running stats are constants: affine in x
 
         def bwd(dout, needs):
-            dg = (dout * xhat).sum(axis=tuple(range(xd.ndim - 1))) if needs[1] else None
-            db = dout.sum(axis=tuple(range(xd.ndim - 1))) if needs[2] else None
+            dx = dout * (g * inv_std) if needs[0] else None
+            dg = (dout * xhat).sum(axis=pool) if needs[1] else None
+            db = dout.sum(axis=pool) if needs[2] else None
+            return dx, dg, db
+
+    else:
+        axes = (-1,) if kind == "layer" else pool  # the axes the statistics pool
+
+        def bwd(dout, needs):
+            dg = (dout * xhat).sum(axis=pool) if needs[1] else None
+            db = dout.sum(axis=pool) if needs[2] else None
             if needs[0]:
                 dxhat = dout * g
                 dx = inv_std * (
@@ -313,58 +450,7 @@ def normalize(
                 dx = None
             return dx, dg, db
 
-        _record("layer_norm", (x, gain, bias), out, bwd)
-        return out
-
-    # batch kind
-    if state is None:
-        raise ContractError("batch-kind normalize requires running statistics")
-    pool_axes = tuple(range(xd.ndim - 1))
-
-    if mode == "train":
-        if x.shape[0] < 2:
-            raise DegenerateBatchError(
-                f"batch-kind norm in train mode needs a batch of >= 2, got {x.shape[0]}"
-            )
-        n = int(np.prod(xd.shape[:-1]))
-        mu = xd.mean(axis=pool_axes)
-        var = xd.var(axis=pool_axes)  # biased: used for the normalization itself
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (xd - mu) * inv_std
-        out = Tensor(g * xhat + b)
-        # unbiased variance feeds the running buffer
-        state.running_mean += momentum * (mu - state.running_mean)
-        state.running_var += momentum * (var * n / (n - 1) - state.running_var)
-
-        def bwd(dout, needs):
-            dg = (dout * xhat).sum(axis=pool_axes) if needs[1] else None
-            db = dout.sum(axis=pool_axes) if needs[2] else None
-            if needs[0]:
-                dxhat = dout * g
-                dx = inv_std * (
-                    dxhat
-                    - dxhat.mean(axis=pool_axes)
-                    - xhat * (dxhat * xhat).mean(axis=pool_axes)
-                )
-            else:
-                dx = None
-            return dx, dg, db
-
-        _record("batch_norm", (x, gain, bias), out, bwd)
-        return out
-
-    # infer: running stats are constants, so the map is affine in x
-    inv_std = 1.0 / np.sqrt(state.running_var + eps)
-    xhat = (xd - state.running_mean) * inv_std
-    out = Tensor(g * xhat + b)
-
-    def bwd(dout, needs):
-        dx = dout * (g * inv_std) if needs[0] else None
-        dg = (dout * xhat).sum(axis=pool_axes) if needs[1] else None
-        db = dout.sum(axis=pool_axes) if needs[2] else None
-        return dx, dg, db
-
-    _record("batch_norm_infer", (x, gain, bias), out, bwd)
+    _record(op, (x, gain, bias), out, bwd)
     return out
 
 
@@ -378,7 +464,9 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
         raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
     _same_dtype("mse", pred, target)
     diff = pred.data - target.data
-    out = Tensor(np.asarray(np.mean(diff * diff), dtype=pred.data.dtype))
+    loss = np.asarray(np.mean(diff * diff), dtype=pred.data.dtype)
+    check_finite("mse", loss)
+    out = Tensor(loss)
     n = diff.size
 
     def bwd(dout, needs):
@@ -391,16 +479,23 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     return out
 
 
-def append_token(x: Tensor, token: Tensor) -> Tensor:
-    """Append one learned vector to every sequence: (B,T,D)+(D,) -> (B,T+1,D)."""
-    if x.data.ndim != 3 or token.data.ndim != 1:
+def append_token_kernel(x: np.ndarray, token: np.ndarray) -> np.ndarray:
+    if x.ndim != 3 or token.ndim != 1:
         raise ShapeError(f"append_token expects (B,T,D) and (D,), got {x.shape} and {token.shape}")
     B, T, D = x.shape
     if token.shape[0] != D:
         raise ShapeError(f"token width {token.shape[0]} != sequence width {D}")
-    _same_dtype("append_token", x, token)
-    tail = np.broadcast_to(token.data, (B, 1, D))
-    out = Tensor(np.concatenate([x.data, tail], axis=1))
+    if token.dtype != x.dtype:
+        _same_dtype("append_token", x, token)
+    y = np.concatenate([x, np.broadcast_to(token, (B, 1, D))], axis=1)
+    check_finite("append_token", y)
+    return y
+
+
+def append_token(x: Tensor, token: Tensor) -> Tensor:
+    """Append one learned vector to every sequence: (B,T,D)+(D,) -> (B,T+1,D)."""
+    out = Tensor(append_token_kernel(x.data, token.data))
+    T = x.shape[1]
 
     def bwd(dout, needs):
         dx = dout[:, :T, :] if needs[0] else None
@@ -411,14 +506,20 @@ def append_token(x: Tensor, token: Tensor) -> Tensor:
     return out
 
 
-def select_position(x: Tensor, index: int) -> Tensor:
-    """Pick one sequence position: (B,T,D) -> (B,D)."""
-    if x.data.ndim != 3:
+def select_position_kernel(x: np.ndarray, index: int) -> np.ndarray:
+    if x.ndim != 3:
         raise ShapeError(f"select_position expects (B,T,D), got {x.shape}")
-    B, T, D = x.shape
+    T = x.shape[1]
     if not -T <= index < T:
         raise ShapeError(f"position {index} out of range for length {T}")
-    out = Tensor(x.data[:, index, :].copy())
+    y = x[:, index, :].copy()
+    check_finite("select_position", y)
+    return y
+
+
+def select_position(x: Tensor, index: int) -> Tensor:
+    """Pick one sequence position: (B,T,D) -> (B,D)."""
+    out = Tensor(select_position_kernel(x.data, index))
     shape, dt = x.shape, x.data.dtype
 
     def bwd(dout, needs):
@@ -430,3 +531,77 @@ def select_position(x: Tensor, index: int) -> Tensor:
 
     _record("select_position", (x,), out, bwd)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the two forward paths
+
+
+@dataclass(frozen=True)
+class Forward:
+    """The op vocabulary a model body is written in, on one of two paths.
+
+    ``TAPED``'s values are Tensors and its ops are the recording wrappers;
+    ``PLAIN``'s values are bare arrays and its ops are the kernels.  Besides
+    the ops: ``lift(value, dtype)`` turns a body input (a Tensor or anything
+    array-like) into a value of the path, ``params(mapping)`` maps names to
+    parameter values, and ``tensor(value)`` gives the Tensor a body returns.
+    """
+
+    lift: Callable
+    params: Callable
+    tensor: Callable
+    linear: Callable
+    add: Callable
+    relu: Callable
+    reshape: Callable
+    append_token: Callable
+    select_position: Callable
+    causal_attention: Callable
+    normalize: Callable
+
+
+def _lift_tensor(value, dtype) -> Tensor:
+    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=dtype))
+
+
+def _lift_array(value, dtype) -> np.ndarray:
+    return value.data if isinstance(value, Tensor) else np.ascontiguousarray(value, dtype=dtype)
+
+
+def _plain_normalize(x, kind, g, b, state=None, mode="train", eps=EPS, momentum=0.1, inv_std=None):
+    return normalize_kernel(x, kind, g, b, state, mode, eps, momentum, inv_std, keep=False)[0]
+
+
+TAPED = Forward(
+    lift=_lift_tensor,
+    params=lambda tensors: tensors,
+    tensor=lambda t: t,
+    linear=linear,
+    add=add,
+    relu=relu,
+    reshape=reshape,
+    append_token=append_token,
+    select_position=select_position,
+    causal_attention=causal_attention,
+    normalize=normalize,
+)
+
+PLAIN = Forward(
+    lift=_lift_array,
+    params=lambda tensors: {name: t.data for name, t in tensors.items()},
+    tensor=Tensor,
+    linear=linear_kernel,
+    add=add_kernel,
+    relu=relu_kernel,
+    reshape=reshape_kernel,
+    append_token=append_token_kernel,
+    select_position=select_position_kernel,
+    causal_attention=lambda q, k, v, n_heads: causal_attention_kernel(q, k, v, n_heads)[0],
+    normalize=_plain_normalize,
+)
+
+
+def forward_ops() -> Forward:
+    """``TAPED`` when a tape is open on this thread, else ``PLAIN``."""
+    return PLAIN if current_tape() is None else TAPED

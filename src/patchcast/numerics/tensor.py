@@ -12,6 +12,11 @@ Conventions
   trustworthy finite differences.
 - A ``Tape`` has a single writer: one thread records ops and runs the reverse
   sweep.  Distinct tapes over disjoint tensors are independent.
+- Whether a tape is open on the calling thread is the one rule that picks a
+  forward path (``ops.forward_ops``).  With a tape open, the model runs on
+  Tensors and every op is recorded; with none, it runs the ops' array
+  kernels and builds Tensors only for what it returns.  Both paths run the
+  same kernels, so their values are bitwise equal.
 - Gradients accumulate into ``Tensor.grad``; zeroing between optimizer steps
   is the caller's job (see ``zero_grads``).
 - A tensor may have a gradient home: a preallocated array, its slot in an
@@ -23,8 +28,9 @@ Conventions
   ``zero_grads``) overwrites it; copy a ``.grad`` to keep it.
 - Scanning every op output for NaN/Inf is an opt-in debug mode
   (``set_debug_checks`` / ``debug_checks``), off by default.  The setting is
-  one flag for the whole process, so it holds in worker threads too.  With it
-  off, non-finite values are caught where they leave the system: the decoder
+  one flag for the whole process, so it holds in worker threads too, and
+  the kernels scan, so it covers both forward paths.  With it off,
+  non-finite values are caught where they leave the system: the decoder
   outputs, the training loss, the gradient buffer and checkpoint load.
 """
 
@@ -82,6 +88,10 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
 
     @property
     def dtype(self):

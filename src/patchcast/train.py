@@ -5,9 +5,9 @@ One loop serves all four modes: dual-head self-supervised pretraining
 fine-tuning variants, and from-scratch target training.  Freezing is
 structural — frozen tensors are simply never handed to the optimizer, and
 the encoder runs in infer mode so batch-norm running statistics stay put.
-A frozen encoder also runs off the tape: it leaves no records, the reverse
-sweep covers only the decoder heads and the loss, and frozen tensors never
-receive a gradient.  The head a finetune does not train runs off the tape
+A frozen encoder also runs off the tape, on plain arrays: it leaves no
+records, the reverse sweep covers only the decoder heads and the loss, and
+frozen tensors never receive a gradient.  The head a finetune does not train runs off the tape
 as well; its loss only fills its ``curve.csv`` column.
 
 The trainable set is one flat buffer: the model's whole arena for pretrain

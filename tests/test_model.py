@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 
 import numpy as np
@@ -335,3 +336,135 @@ class TestEndToEnd:
         all_emb, z = encode(rand_patches(cfg, batch=2), m, mode="infer")
         assert all_emb.dtype == np.float32
         assert decode_forecast(z, m.forecast).dtype == np.float32
+
+
+class TestUntapedPath:
+    """With no tape open, encode and the decoders run on plain arrays."""
+
+    @staticmethod
+    def forward(m, x):
+        h, z = encode(x, m, mode="infer")
+        return [t.data for t in (h, z, decode_forecast(z, m.forecast), decode_reconstruct(z, m.reconstruct))]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("norm_kind", ["batch", "layer"])
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_bitwise_equal_to_taped(self, norm_kind, dtype, batch):
+        cfg = tiny(norm_kind=norm_kind, seed=6)
+        m = init_params(cfg, dtype)
+        if norm_kind == "batch":
+            encode(rand_patches(cfg, batch=4, seed=2), m, mode="train")  # move the statistics
+        x = rand_patches(cfg, batch=batch, seed=7).astype(dtype)
+        untaped = self.forward(m, x)
+        with Tape() as tape:
+            taped = self.forward(m, x)
+        assert len(tape) > 0
+        for a, b in zip(untaped, taped):
+            assert a.dtype == b.dtype == dtype
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    def test_train_mode_bitwise_equal_to_taped(self):
+        cfg = tiny(norm_kind="batch", seed=6)
+        m, twin = init_params(cfg), init_params(cfg)
+        x = rand_patches(cfg, batch=4, seed=3)
+        h, z = encode(x, m, mode="train")
+        with Tape():
+            ht, zt = encode(x, twin, mode="train")
+        assert np.array_equal(h.data, ht.data) and np.array_equal(z.data, zt.data)
+        assert np.array_equal(m.stats, twin.stats)
+
+    def test_shape_and_dtype_errors_without_a_tape(self):
+        cfg = tiny(norm_kind="batch")
+        m = init_params(cfg)
+        with pytest.raises(ShapeError):
+            encode(np.zeros((cfg.n_patches, cfg.l_patch + 1), np.float32), m, mode="infer")
+        with pytest.raises(ShapeError):
+            encode(np.zeros((2, 2, cfg.n_patches, cfg.l_patch), np.float32), m, mode="infer")
+        with pytest.raises(ContractError, match="mixed dtypes"):
+            encode(Tensor(rand_patches(cfg), dtype=np.float64), m, mode="infer")
+        with pytest.raises(ContractError, match="mixed dtypes"):
+            decode_forecast(Tensor(np.zeros(8), dtype=np.float64), m.forecast)
+        with pytest.raises(ShapeError):
+            decode_forecast(np.zeros((2, 9), np.float32), m.forecast)
+        m.params["layers.1.attn.bq"] = Tensor(np.zeros(3, np.float32))
+        with pytest.raises(ShapeError, match="bias"):
+            encode(rand_patches(cfg), m, mode="infer")
+
+    def test_infer_reads_the_current_statistics(self):
+        from patchcast.train import clone_model, restore_snapshot
+
+        cfg = tiny(norm_kind="batch", seed=1)
+        m = init_params(cfg)
+        x = rand_patches(cfg, seed=4)
+        before = encode(x, m, mode="infer")[1].data
+        snapshot = m.named_stats(m.stats.copy())
+        encode(rand_patches(cfg, batch=4, seed=5), m, mode="train")
+        moved = encode(x, m, mode="infer")[1].data
+        assert not np.array_equal(moved, before)
+        assert np.array_equal(moved, encode(x, clone_model(m), mode="infer")[1].data)
+        restore_snapshot(m, snapshot)
+        assert np.array_equal(encode(x, m, mode="infer")[1].data, before)
+
+    def test_debug_checks_name_the_op_without_a_tape(self):
+        from patchcast.errors import NumericError
+        from patchcast.numerics import debug_checks
+
+        cfg = tiny(norm_kind="batch")
+        m = init_params(cfg)
+        m.params["layers.0.attn.wq"].data[0, 0] = np.nan
+        with debug_checks(True), pytest.raises(NumericError, match="output of linear"):
+            encode(rand_patches(cfg), m, mode="infer")
+        m.params["layers.0.attn.wq"].data[0, 0] = 0.0
+        m.forecast.b1.data[0] = np.inf
+        _, z = encode(rand_patches(cfg), m, mode="infer")
+        with debug_checks(True), pytest.raises(NumericError, match="output of linear"):
+            decode_forecast(z, m.forecast)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_taps_and_results_are_tensors(self, taped):
+        cfg = tiny(norm_kind="layer")
+        m = init_params(cfg)
+        taps: dict = {}
+        with Tape() if taped else contextlib.nullcontext():
+            h, z = encode(rand_patches(cfg, batch=2), m, mode="infer", taps=taps)
+            f = decode_forecast(z, m.forecast, taps=taps)
+        assert all(isinstance(t, Tensor) for t in (h, z, f))
+        assert sorted(taps) == ["dec_forecast.preact", "layers.0.ff.preact", "layers.1.ff.preact"]
+        assert all(isinstance(t, Tensor) for t in taps.values())
+        assert taps["layers.1.ff.preact"].shape == (2, cfg.n_patches + 1, cfg.d_ff)
+
+    def test_a_tape_on_another_thread_does_not_pick_the_path(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfg = tiny(norm_kind="layer")
+        m = init_params(cfg)
+        x = rand_patches(cfg)
+        want = encode(x, m, mode="infer")[1].data
+        with Tape() as tape, ThreadPoolExecutor(max_workers=1) as pool:
+            got = pool.submit(lambda: encode(x, m, mode="infer")[1].data).result()
+        assert len(tape) == 0
+        assert np.array_equal(got, want)
+
+
+class TestSpecs:
+    def test_built_once_per_config(self):
+        from patchcast.model import param_spec, stat_spec
+
+        cfg = tiny(norm_kind="batch")
+        assert param_spec(cfg) is param_spec(tiny(norm_kind="batch"))
+        assert stat_spec(cfg) is stat_spec(tiny(norm_kind="batch"))
+        assert stat_spec(tiny(norm_kind="layer")) == ()
+
+    def test_empty_model_follows_the_specs(self):
+        from patchcast.model import empty_model, param_spec, stat_spec
+
+        cfg = tiny(norm_kind="batch")
+        m = empty_model(cfg)
+        assert [(n, t.shape) for n, t in m.params.items()] == [(n, s) for n, s, _ in param_spec(cfg)]
+        assert [(n, v.shape) for n, v in m.named_stats().items()] == [(n, s) for n, s, _ in stat_spec(cfg)]
+        assert m.arena.size == parameter_count(cfg)
+        m.stats[:] = np.arange(m.stats.size)
+        state = m.norm_states["layers.1.norm2"]
+        assert np.array_equal(state.running_mean, m.named_stats()["layers.1.norm2.running_mean"])
+        assert np.array_equal(state.running_var, m.named_stats()["layers.1.norm2.running_var"])

@@ -26,7 +26,7 @@ from patchcast.numerics import (
     scale,
     select_position,
 )
-from patchcast.numerics.ops import _causal_mask
+from patchcast.numerics.ops import _causal_mask, reshape_kernel
 
 
 def _matmul_oracle(a, b):
@@ -301,6 +301,14 @@ class TestPlumbing:
         assert reshape(x, (3, 4)).shape == (3, 4)
         with pytest.raises(ShapeError):
             reshape(x, (5, 2))
+
+    @pytest.mark.parametrize("shape", [(-1, -6), (-2, -3), (6, -1), (-1,)])
+    def test_reshape_rejects_negative_dimensions(self, shape):
+        x = Tensor(np.arange(6, dtype=np.float32))
+        with pytest.raises(ShapeError, match="cannot reshape"):
+            reshape(x, shape)
+        with pytest.raises(ShapeError, match="cannot reshape"):
+            reshape_kernel(x.data, shape)
 
     def test_append_token(self):
         x = Tensor(np.zeros((2, 3, 4), np.float32))
