@@ -129,7 +129,8 @@ def _build_parser() -> _Parser:
         common(p)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--data", "--input", dest="data", required=True, help="series CSV")
-        p.add_argument("--horizon", type=int, help="forecast rows (forecast only)")
+        if name == "forecast":
+            p.add_argument("--horizon", type=int, help="forecast rows")
         p.set_defaults(func=cmd_trace, trace_task=name)
 
     p = sub.add_parser("gradcheck", help="numerics self-test on a tiny model")

@@ -34,7 +34,6 @@ class TimeSeries:
     id: str
     values: np.ndarray
     sampling_rate_hz: Optional[float] = None
-    units: Optional[str] = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -227,7 +226,6 @@ def preprocess_slow_signal(series: TimeSeries, target_hz: float, smooth_width: i
         id=f"{series.id}@{target_hz:g}hz",
         values=smoothed,
         sampling_rate_hz=float(target_hz),
-        units=series.units,
     )
 
 
@@ -270,12 +268,11 @@ def make_batch(pool: Sequence[TimeSeries], count: int, W: int, H: int, l_patch: 
 # CSV in/out
 
 
-def load_csv(path, column=None) -> TimeSeries:
-    """Read one numeric column (default: last) from a CSV file.
+def load_csv(path) -> TimeSeries:
+    """Read the last column of a CSV file as one numeric series.
 
-    A first row whose selected cell fails numeric parsing is treated as a
-    header.  Column may be a zero-based index or, when a header exists, a
-    name.  Row numbers in errors are 1-based and include the header.
+    A first row whose last cell fails numeric parsing is treated as a
+    header.  Row numbers in errors are 1-based and include the header.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -284,30 +281,15 @@ def load_csv(path, column=None) -> TimeSeries:
     if not rows:
         raise DataError(f"{path.name}: empty file")
 
-    col_index = None
     start = 0
-    if isinstance(column, str):
-        header = rows[0]
-        if column not in header:
-            raise DataError(f"{path.name}: no column named {column!r} in header {header}")
-        col_index = header.index(column)
+    try:
+        float(rows[0][-1])
+    except ValueError:
         start = 1
-    else:
-        if column is not None:
-            col_index = int(column)
-        # header detection: does the first row's cell parse as a number?
-        try:
-            float(rows[0][col_index if col_index is not None else -1])
-        except (ValueError, IndexError):
-            start = 1
 
     values = []
     for i in range(start, len(rows)):
-        row = rows[i]
-        idx = col_index if col_index is not None else len(row) - 1
-        if idx >= len(row) or idx < -len(row):
-            raise DataError(f"{path.name}: row {i + 1} has no column {idx}")
-        cell = row[idx]
+        cell = rows[i][-1]
         try:
             values.append(float(cell))
         except ValueError:

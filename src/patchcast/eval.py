@@ -15,7 +15,6 @@ import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,45 +54,21 @@ _SLAB = 32
 # train/validation/test split
 
 
-@dataclass(frozen=True)
 class SplitSpec:
-    """Chronological three-way split: earliest train, middle validation,
+    """Chronological 80/10/10 split: earliest train, middle validation,
     most recent test."""
 
-    train_fraction: float = 0.8
-    validation_fraction: float = 0.1
-    test_fraction: float = 0.1
-
-    def __post_init__(self):
-        fracs = (self.train_fraction, self.validation_fraction, self.test_fraction)
-        if any(not 0.0 < f < 1.0 for f in fracs):
-            raise ConfigError(f"split fractions must lie in (0, 1), got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)!r}")
-
     def boundaries(self, length: int) -> tuple:
-        """Sample indices (train_end, validation_end) for a given length.
-
-        Computed in exact rational arithmetic so floor(0.8*L) never lands on
-        the wrong side of an integer through float rounding.
-        """
-        tr = Fraction(str(self.train_fraction))
-        va = Fraction(str(self.validation_fraction))
-        return int(tr * length), int((tr + va) * length)
+        """Sample indices (train_end, validation_end) = (floor(0.8 L), floor(0.9 L))."""
+        return 4 * length // 5, 9 * length // 10
 
 
-def split_series(
-    series: TimeSeries,
-    window: int,
-    horizon: int,
-    spec: Optional[SplitSpec] = None,
-) -> tuple:
+def split_series(series: TimeSeries, window: int, horizon: int) -> tuple:
     """Split a series into (train, validation, test) segments, oldest first.
 
     The minimum length 10*(window+horizon) guarantees every segment admits at
     least one sliding window.  Segments are views onto the parent's buffer.
     """
-    spec = spec or SplitSpec()
     L = len(series.values)
     minimum = 10 * (window + horizon)
     if L < minimum:
@@ -101,14 +76,13 @@ def split_series(
             f"series {series.id!r} has {L} samples; a three-way split with "
             f"window={window}, horizon={horizon} needs at least {minimum}"
         )
-    b1, b2 = spec.boundaries(L)
+    b1, b2 = SplitSpec().boundaries(L)
 
     def seg(lo: int, hi: int, tag: str) -> TimeSeries:
         return TimeSeries(
             id=f"{series.id}/{tag}",
             values=series.values[lo:hi],
             sampling_rate_hz=series.sampling_rate_hz,
-            units=series.units,
         )
 
     return seg(0, b1, "train"), seg(b1, b2, "val"), seg(b2, L, "test")

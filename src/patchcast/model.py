@@ -15,7 +15,7 @@ arrays, and only the returned values (and any ``taps``) become Tensors.  The
 untaped path serves the stream forecast, ``trace``, every eval slab and a
 frozen encoder under finetuning.  Both paths run the same kernels, so their
 outputs are bitwise equal.  In infer mode the batch-norm scales
-(``1/sqrt(running_var + eps)``) are computed once per ``encode`` from the
+(``1/sqrt(running_var + EPS)``) are computed once per ``encode`` from the
 variance rows of ``Model.stats``.
 
 Every projection (patch, q/k/v/o, feedforward, head layers) is one fused
@@ -86,6 +86,8 @@ class ModelConfig:
             )
         if self.norm_kind not in NORM_KINDS:
             raise ConfigError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def context_length(self) -> int:

@@ -1,9 +1,10 @@
 """AdamW with decoupled weight decay, as one blocked pass over flat buffers.
 
-Bias-corrected first/second moments, and weight decay applied directly to the
-pre-update parameter value rather than folded into the gradient:
+Bias-corrected first/second moments, decaying at the constants ``BETA1`` and
+``BETA2``, and weight decay applied directly to the pre-update parameter value
+rather than folded into the gradient (only ``lr`` and ``wd`` are settable):
 
-    theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
+    theta <- theta - lr * (m_hat / (sqrt(v_hat) + EPS) + wd * theta)
 
 The trainable tensors tile one flat parameter buffer (for a model, its arena
 or a contiguous slice of it); the moments and the gradients are matching flat
@@ -30,13 +31,14 @@ from .tensor import tile
 # elements per block: g, m, v, theta and both scratch slices fit in L2 together
 _BLOCK = 1 << 16
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8  # added to sqrt(v_hat) before dividing
+
 
 @dataclass
 class AdamWConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
 
 
@@ -146,25 +148,25 @@ def adamw_step(params: dict, state: AdamWState) -> None:
     cfg = state.config
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     n = state.flat.size
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         theta, g = state.flat[lo:hi], state.grad[lo:hi]
         m, v = state.m[lo:hi], state.v[lo:hi]
         a, b = state.scratch[0][: hi - lo], state.scratch[1][: hi - lo]
-        m *= cfg.beta1
-        np.multiply(g, 1.0 - cfg.beta1, out=a)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=a)
         m += a
-        v *= cfg.beta2
+        v *= BETA2
         np.multiply(g, g, out=a)
-        a *= 1.0 - cfg.beta2
+        a *= 1.0 - BETA2
         v += a
         np.divide(m, bc1, out=a)  # m_hat
         np.divide(v, bc2, out=b)  # v_hat
         np.sqrt(b, out=b)
-        b += cfg.eps
+        b += EPS
         a /= b
         np.multiply(theta, cfg.weight_decay, out=b)
         a += b

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .tensor import Tensor, check_finite, current_tape, TapeRecord
 NORM_KINDS = ("batch", "layer")
 NORM_MODES = ("train", "infer")
 EPS = 1e-5  # the variance floor of every norm
+MOMENTUM = 0.1  # the weight of a train-mode batch's statistics in the running ones
 
 
 def _record(op: str, inputs: tuple, out: Tensor, backward_fn) -> None:
@@ -316,13 +317,10 @@ class NormState:
     def initial(cls, width: int, dtype=np.float32) -> "NormState":
         return cls(np.zeros(width, dtype=dtype), np.ones(width, dtype=dtype))
 
-    def copy(self) -> "NormState":
-        return NormState(self.running_mean.copy(), self.running_var.copy())
 
-
-def inverse_std(var: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """1 / sqrt(var + eps), elementwise: the scale every norm applies."""
-    return 1.0 / np.sqrt(var + eps)
+def inverse_std(var: np.ndarray) -> np.ndarray:
+    """1 / sqrt(var + EPS), elementwise: the scale every norm applies."""
+    return 1.0 / np.sqrt(var + EPS)
 
 
 def _norm_op(kind: str, mode: str) -> str:
@@ -338,8 +336,6 @@ def normalize_kernel(
     b: np.ndarray,
     state: NormState | None = None,
     mode: str = "train",
-    eps: float = EPS,
-    momentum: float = 0.1,
     inv_std: np.ndarray | None = None,
     keep: bool = True,
 ):
@@ -360,9 +356,10 @@ def normalize_kernel(
         raise ShapeError(f"gain/bias must have shape ({d},), got {g.shape} and {b.shape}")
     if g.dtype != x.dtype or b.dtype != x.dtype:
         _same_dtype("normalize", x, g, b)
+    # variance as the mean square of the centred array: x.var's arithmetic, one pass fewer
     if kind == "layer":
-        shift = x.mean(axis=-1, keepdims=True)
-        inv_std = inverse_std(x.var(axis=-1, keepdims=True), eps)
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        inv_std = inverse_std((xhat * xhat).mean(axis=-1, keepdims=True))
     elif state is None:
         raise ContractError("batch-kind normalize requires running statistics")
     elif mode == "train":
@@ -372,17 +369,17 @@ def normalize_kernel(
             )
         pool = tuple(range(x.ndim - 1))
         n = math.prod(x.shape[:-1])
-        shift = x.mean(axis=pool)
-        var = x.var(axis=pool)  # biased: used for the normalization itself
-        inv_std = inverse_std(var, eps)
+        mean = x.mean(axis=pool)
+        xhat = x - mean
+        var = (xhat * xhat).mean(axis=pool)  # biased: used for the normalization itself
+        inv_std = inverse_std(var)
         # unbiased variance feeds the running buffer
-        state.running_mean += momentum * (shift - state.running_mean)
-        state.running_var += momentum * (var * n / (n - 1) - state.running_var)
+        state.running_mean += MOMENTUM * (mean - state.running_mean)
+        state.running_var += MOMENTUM * (var * n / (n - 1) - state.running_var)
     else:
-        shift = state.running_mean
+        xhat = x - state.running_mean
         if inv_std is None:
-            inv_std = inverse_std(state.running_var, eps)
-    xhat = x - shift
+            inv_std = inverse_std(state.running_var)
     xhat *= inv_std
     if keep:
         y = g * xhat
@@ -401,26 +398,22 @@ def normalize(
     bias: Tensor,
     state: NormState | None = None,
     mode: str = "train",
-    eps: float = EPS,
-    momentum: float = 0.1,
     inv_std: np.ndarray | None = None,
 ) -> Tensor:
     """Normalize features (last axis) then apply a learned affine map.
 
     kind="batch": statistics pool over every axis except the last.  Train mode
     uses batch statistics (biased variance) and folds them into ``state`` with
-    the given momentum (unbiased variance goes into the running buffer); infer
+    momentum ``MOMENTUM`` (unbiased variance goes into the running buffer); infer
     mode reads the running statistics, and takes ``inv_std`` as their
     ``inverse_std`` when the caller has it already.  Train mode requires a
     leading-axis extent of at least 2.
 
     kind="layer": statistics are per sample over the last axis; ``mode`` and
-    ``state`` are irrelevant.
+    ``state`` are irrelevant.  Every kind scales by ``inverse_std(var)``.
     """
     g = gain.data
-    y, xhat, inv_std = normalize_kernel(
-        x.data, kind, g, bias.data, state, mode, eps, momentum, inv_std
-    )
+    y, xhat, inv_std = normalize_kernel(x.data, kind, g, bias.data, state, mode, inv_std)
     out = Tensor(y)
     pool = tuple(range(x.data.ndim - 1))
     op = _norm_op(kind, mode)
@@ -537,8 +530,7 @@ def select_position(x: Tensor, index: int) -> Tensor:
 # the two forward paths
 
 
-@dataclass(frozen=True)
-class Forward:
+class Forward(NamedTuple):
     """The op vocabulary a model body is written in, on one of two paths.
 
     ``TAPED``'s values are Tensors and its ops are the recording wrappers;
@@ -569,8 +561,8 @@ def _lift_array(value, dtype) -> np.ndarray:
     return value.data if isinstance(value, Tensor) else np.ascontiguousarray(value, dtype=dtype)
 
 
-def _plain_normalize(x, kind, g, b, state=None, mode="train", eps=EPS, momentum=0.1, inv_std=None):
-    return normalize_kernel(x, kind, g, b, state, mode, eps, momentum, inv_std, keep=False)[0]
+def _plain_normalize(x, kind, g, b, state=None, mode="train", inv_std=None):
+    return normalize_kernel(x, kind, g, b, state, mode, inv_std, keep=False)[0]
 
 
 TAPED = Forward(

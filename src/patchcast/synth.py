@@ -285,7 +285,6 @@ def measure(q: TimeSeries, sensor: SensorModel, seed: int = 0) -> TimeSeries:
         id=f"{q.id}#m",
         values=m,
         sampling_rate_hz=q.sampling_rate_hz,
-        units=q.units,
     )
 
 

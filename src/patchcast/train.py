@@ -115,8 +115,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ConfigError("steps, batch_size and eval_every must be positive")
-        if self.lr < 0:  # zero is allowed: it must be an exact no-op
-            raise ConfigError(f"lr must be non-negative, got {self.lr}")
+        if not 0 <= self.lr < math.inf:  # zero is allowed: it must be an exact no-op
+            raise ConfigError(f"lr must be finite and non-negative, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and non-negative, got {self.weight_decay}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.loss_weight_forecast <= 1.0:
             raise ConfigError(
                 f"loss_weight_forecast must be in [0, 1], got {self.loss_weight_forecast}"

@@ -8,6 +8,7 @@ import patchcast.train as train_mod
 from patchcast.errors import ContractError
 from patchcast.model import ModelConfig, init_params
 from patchcast.numerics import AdamWConfig, AdamWState, Tape, Tensor, adamw_step, backward
+from patchcast.numerics.adamw import BETA1, BETA2, EPS
 from patchcast.selfcheck import dual_loss_setup
 from patchcast.synth import PhenomenonSpec, generate_quantity
 
@@ -118,16 +119,16 @@ def test_disjoint_param_groups_step_independently():
 
 def reference_step(params, m, v, t, cfg):
     """The per-tensor update: each tensor's own temporaries, one at a time."""
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, (data, g) in params.items():
-        m[name] *= cfg.beta1
-        m[name] += (1.0 - cfg.beta1) * g
-        v[name] *= cfg.beta2
-        v[name] += (1.0 - cfg.beta2) * (g * g)
+        m[name] *= BETA1
+        m[name] += (1.0 - BETA1) * g
+        v[name] *= BETA2
+        v[name] += (1.0 - BETA2) * (g * g)
         m_hat = m[name] / bc1
         v_hat = v[name] / bc2
-        data -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * data)
+        data -= cfg.lr * (m_hat / (np.sqrt(v_hat) + EPS) + cfg.weight_decay * data)
 
 
 FLAGSHIP = ModelConfig(l_patch=64, n_patches=16, d_model=64, n_layers=6, n_heads=4,

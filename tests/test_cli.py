@@ -97,6 +97,13 @@ class TestUsage:
             main(["--help"])
         assert exc.value.code == 0
 
+    def test_reconstruct_takes_no_horizon(self, pre, target_csv, tmp_path, capsys):
+        argv = ["reconstruct", "--checkpoint", str(pre / "checkpoint.omg"),
+                "--data", str(target_csv), "--out", str(tmp_path / "rec"), "--horizon", "8"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --horizon" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
     def test_bad_task_choice(self, pre, target_csv, tmp_path, capsys):
         argv = ["eval", "--checkpoint", str(pre / "checkpoint.omg"),
                 "--data", str(target_csv), "--out", str(tmp_path / "x"),
@@ -282,6 +289,18 @@ class TestFailureExits:
                 "--data", str(target_csv), "--out", str(tmp_path / "x")]
         assert main(argv) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("model.seed", "-1"), ("train.seed", "-1"), ("train.lr", "nan"), ("train.weight_decay", "-3"),
+    ])
+    def test_bad_seed_or_optimizer_setting_is_clean(self, cfg_file, tmp_path, key, value, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(cfg_file.read_text() + f"{key} = {value}\n")
+        argv = ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key.partition(".")[2] in err
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         argv = ["synth", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "x")]

@@ -57,6 +57,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="variants_per_entry"):
             SynthSettings(variants_per_entry=0)
 
+    @pytest.mark.parametrize("key, raw", [
+        ("model.seed", "-1"),
+        ("train.seed", "-1"),
+        ("train.lr", "nan"),
+        ("train.lr", "inf"),
+        ("train.weight_decay", "-3"),
+        ("train.weight_decay", "nan"),
+        ("train.weight_decay", "inf"),
+    ])
+    def test_bad_seed_or_optimizer_setting_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=key.partition(".")[2]):
+            build_run_config({key: raw})
+
     def test_section_validation_applies_through_build(self):
         # d_model=30 does not divide by the default 4 heads
         with pytest.raises(ConfigError, match="n_heads"):

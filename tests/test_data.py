@@ -70,22 +70,6 @@ class TestLoadCsv(object):
         with pytest.raises(DataError, match="row 3"):
             load_csv(p)
 
-    def test_column_by_name(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("t,temp,volt\n0,20.0,3.3\n1,21.0,3.4\n")
-        assert_allclose(load_csv(p, column="temp").values, [20.0, 21.0])
-
-    def test_column_by_index(self, tmp_path):
-        p = tmp_path / "e.csv"
-        p.write_text("0,10\n1,20\n")
-        assert_allclose(load_csv(p, column=0).values, [0, 1])
-
-    def test_missing_named_column(self, tmp_path):
-        p = tmp_path / "f.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError, match="no column named"):
-            load_csv(p, column="zzz")
-
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")

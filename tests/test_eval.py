@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -96,11 +97,12 @@ class TestSplit:
         glued = np.concatenate([tr.values, va.values, te.values])
         assert np.array_equal(glued, s.values)
 
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            SplitSpec(train_fraction=0.9, validation_fraction=0.2, test_fraction=0.1)
-        with pytest.raises(ConfigError):
-            SplitSpec(train_fraction=1.0, validation_fraction=0.0, test_fraction=0.0)
+    def test_boundaries_match_exact_rational_floors(self):
+        # the reference: floor(0.8 L) and floor(0.9 L) in exact arithmetic
+        spec = SplitSpec()
+        for L in range(20001):
+            expected = (int(Fraction("0.8") * L), int(Fraction("0.9") * L))
+            assert spec.boundaries(L) == expected, L
 
 
 class TestReportInvariants:

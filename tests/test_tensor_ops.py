@@ -26,7 +26,7 @@ from patchcast.numerics import (
     scale,
     select_position,
 )
-from patchcast.numerics.ops import _causal_mask, reshape_kernel
+from patchcast.numerics.ops import EPS, _causal_mask, normalize_kernel, reshape_kernel
 
 
 def _matmul_oracle(a, b):
@@ -198,6 +198,33 @@ class TestNormalize:
         var_unbiased = x.var(axis=0, ddof=1)
         assert_allclose(state.running_mean, 0.1 * mu, atol=1e-6)
         assert_allclose(state.running_var, 0.9 * 1.0 + 0.1 * var_unbiased, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 7), (5, 9, 24), (3, 17, 64)])
+    @pytest.mark.parametrize("kind", ["layer", "batch"])
+    def test_statistics_bitwise_equal_to_numpy_var(self, kind, shape, dtype):
+        # the reference computes the variance with x.var, as a second pass
+        rng = np.random.default_rng(11)
+        x = rng.normal(loc=rng.normal(), scale=3.0, size=shape).astype(dtype)
+        d = shape[-1]
+        g = rng.uniform(0.5, 1.5, d).astype(dtype)
+        b = rng.normal(size=d).astype(dtype)
+        axes = -1 if kind == "layer" else tuple(range(x.ndim - 1))
+        mu = x.mean(axis=axes, keepdims=kind == "layer")
+        var = x.var(axis=axes, keepdims=kind == "layer")
+        expected = g * ((x - mu) * (1.0 / np.sqrt(var + EPS))) + b
+        mean0, var0 = rng.normal(size=d).astype(dtype), rng.uniform(0.5, 2.0, d).astype(dtype)
+        ref_mean, ref_var = mean0.copy(), var0.copy()
+        if kind == "batch":
+            n = x.size // d
+            ref_mean += 0.1 * (mu - ref_mean)
+            ref_var += 0.1 * (var * n / (n - 1) - ref_var)
+        for keep in (True, False):
+            state = NormState(mean0.copy(), var0.copy())
+            y = normalize_kernel(x, kind, g, b, state, "train", keep=keep)[0]
+            assert_array_equal(y, expected)
+            assert_array_equal(state.running_mean, ref_mean)
+            assert_array_equal(state.running_var, ref_var)
 
     def test_infer_does_not_touch_state(self):
         state = NormState.initial(2)
