@@ -26,6 +26,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, PatchcastError, ShapeError
 from .eval import (
+    TASKS,
     baseline_persistence,
     evaluate_zero_shot,
     select_best_snapshot,
@@ -35,7 +36,7 @@ from .eval import (
     write_window_csv,
 )
 from .model import decode_forecast, decode_reconstruct, encode, init_params
-from .selfcheck import run_gradient_selfcheck
+from .selfcheck import TOLERANCE, run_gradient_selfcheck
 from .synth import (
     build_corpus,
     default_pretrain_recipe,
@@ -81,7 +82,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--window", type=int, help="context length in samples")
         p.add_argument("--horizon", type=int, help="forecast length in samples")
         p.add_argument("--stride", type=int, help="window step in samples")
-        p.add_argument("--task", choices=["forecast", "reconstruct"])
+        p.add_argument("--task", choices=TASKS)
 
     p = sub.add_parser("synth", help="build the synthetic pretraining corpus")
     common(p)
@@ -109,7 +110,6 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="series CSV to evaluate on")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--emit-traces", action="store_true")
     eval_flags(p)
     p.set_defaults(func=cmd_eval)
@@ -134,8 +134,6 @@ def _build_parser() -> _Parser:
         p.set_defaults(func=cmd_trace, trace_task=name)
 
     p = sub.add_parser("gradcheck", help="numerics self-test on a tiny model")
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tolerance", type=float, default=1e-3)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -273,10 +271,7 @@ def cmd_eval(args) -> int:
             ]
             write_trace_csv(traces / f"window_{offset}.csv", rows)
 
-    report = evaluate_zero_shot(
-        model, series, task, window, horizon, stride,
-        workers=args.workers, on_window=on_window,
-    )
+    report = evaluate_zero_shot(model, series, task, window, horizon, stride, on_window=on_window)
     baseline = baseline_persistence(series, window, horizon, stride, task=task)
     write_report_summary(out / "report.csv", [report, baseline])
     write_window_csv(out / "windows.csv", report)
@@ -350,12 +345,12 @@ def cmd_trace(args) -> int:
 def cmd_gradcheck(args) -> int:
     worst = 0.0
     ok = True
-    for label, report in run_gradient_selfcheck(step=args.step, tolerance=args.tolerance):
+    for label, report in run_gradient_selfcheck():
         status = "ok" if report.passed else "FAIL"
         print(f"{label}: max rel error {report.max_rel_error:.3e} [{status}]")
         worst = max(worst, report.max_rel_error)
         ok = ok and report.passed
-    print(f"max relative error {worst:.3e} (tolerance {args.tolerance:.1e})")
+    print(f"max relative error {worst:.3e} (tolerance {TOLERANCE:.1e})")
     return 0 if ok else 2
 
 

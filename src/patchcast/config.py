@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .eval import TASKS
 from .model import ModelConfig
 from .train import TrainConfig
 
@@ -33,8 +34,8 @@ class EvalSettings:
         for name in ("window", "horizon", "stride"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"eval.{name} must be >= 0 (0 = derive from the model)")
-        if self.task not in ("forecast", "reconstruct"):
-            raise ConfigError(f"eval.task must be forecast or reconstruct, got {self.task!r}")
+        if self.task not in TASKS:
+            raise ConfigError(f"eval.task must be one of {TASKS}, got {self.task!r}")
 
     def resolve(self, model_config: ModelConfig) -> tuple:
         """Concrete (window, horizon, stride) for a given architecture."""

@@ -6,6 +6,8 @@ leave [0, 1] — never clipped).  Constant windows map to 0.5 everywhere.
 ``normalize_rows`` is the one implementation of that map: it works on a
 block of rows, one window (context then target) per row, and training
 batches, eval sweeps and the single-window ``minmax_normalize`` all call it.
+The chronological train/validation/test split (``split_series``) lives here
+too: training reads the train segment, eval scores the other two.
 """
 
 from __future__ import annotations
@@ -180,6 +182,40 @@ def sliding_windows(series, W: int, H: int, S: int) -> list:
         WindowSpan(context=(o, o + W), target=(o + W, o + W + H))
         for o in range(0, count * S, S)
     ]
+
+
+class SplitSpec:
+    """Chronological 80/10/10 split: earliest train, middle validation,
+    most recent test."""
+
+    def boundaries(self, length: int) -> tuple:
+        """Sample indices (train_end, validation_end) = (floor(0.8 L), floor(0.9 L))."""
+        return 4 * length // 5, 9 * length // 10
+
+
+def split_series(series: TimeSeries, window: int, horizon: int) -> tuple:
+    """Split a series into (train, validation, test) segments, oldest first.
+
+    The minimum length 10*(window+horizon) guarantees every segment admits at
+    least one sliding window.  Segments are views onto the parent's buffer.
+    """
+    L = len(series.values)
+    minimum = 10 * (window + horizon)
+    if L < minimum:
+        raise InsufficientDataError(
+            f"series {series.id!r} has {L} samples; a three-way split with "
+            f"window={window}, horizon={horizon} needs at least {minimum}"
+        )
+    b1, b2 = SplitSpec().boundaries(L)
+
+    def seg(lo: int, hi: int, tag: str) -> TimeSeries:
+        return TimeSeries(
+            id=f"{series.id}/{tag}",
+            values=series.values[lo:hi],
+            sampling_rate_hz=series.sampling_rate_hz,
+        )
+
+    return seg(0, b1, "train"), seg(b1, b2, "val"), seg(b2, L, "test")
 
 
 def preprocess_slow_signal(series: TimeSeries, target_hz: float, smooth_width: int = 5) -> TimeSeries:

@@ -13,19 +13,24 @@ reductions over that block.
 
 import hashlib
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import ContextWindow, TimeSeries, normalize_rows, sliding_windows
+from .data import (
+    ContextWindow,
+    SplitSpec,  # re-exported: callers import the split from here too
+    TimeSeries,
+    normalize_rows,
+    sliding_windows,
+    split_series,
+)
 from .errors import (
     CompareError,
     ConfigError,
     ContractError,
-    InsufficientDataError,
     PatchcastError,
 )
 from .model import Model, decode_forecast, decode_reconstruct, encode
@@ -43,49 +48,11 @@ log = logging.getLogger(__name__)
 TASKS = ("forecast", "reconstruct")
 VARIANTS = ("zero_shot", "fine_tuned", "target_trained", "persistence")
 
-# Windows are scored through the encoder in fixed-size slabs.  The slab size
-# is a constant (never derived from the worker count) so the arithmetic —
-# and therefore the bitwise result — is identical no matter how the work is
-# distributed.
+# Windows are scored through the encoder in fixed-size slabs, which bounds the
+# activations held at once.  The size is a constant, never derived from the
+# machine, so a sweep does the same arithmetic — and gives the same bits —
+# wherever it runs.
 _SLAB = 32
-
-
-# ---------------------------------------------------------------------------
-# train/validation/test split
-
-
-class SplitSpec:
-    """Chronological 80/10/10 split: earliest train, middle validation,
-    most recent test."""
-
-    def boundaries(self, length: int) -> tuple:
-        """Sample indices (train_end, validation_end) = (floor(0.8 L), floor(0.9 L))."""
-        return 4 * length // 5, 9 * length // 10
-
-
-def split_series(series: TimeSeries, window: int, horizon: int) -> tuple:
-    """Split a series into (train, validation, test) segments, oldest first.
-
-    The minimum length 10*(window+horizon) guarantees every segment admits at
-    least one sliding window.  Segments are views onto the parent's buffer.
-    """
-    L = len(series.values)
-    minimum = 10 * (window + horizon)
-    if L < minimum:
-        raise InsufficientDataError(
-            f"series {series.id!r} has {L} samples; a three-way split with "
-            f"window={window}, horizon={horizon} needs at least {minimum}"
-        )
-    b1, b2 = SplitSpec().boundaries(L)
-
-    def seg(lo: int, hi: int, tag: str) -> TimeSeries:
-        return TimeSeries(
-            id=f"{series.id}/{tag}",
-            values=series.values[lo:hi],
-            sampling_rate_hz=series.sampling_rate_hz,
-        )
-
-    return seg(0, b1, "train"), seg(b1, b2, "val"), seg(b2, L, "test")
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +184,28 @@ def evaluate_zero_shot(
     context itself).  When horizon < l_pred only the first ``horizon``
     forecast outputs are scored.  ``on_window(offset, context, prediction)``
     is invoked in offset order after scoring, e.g. to emit traces.
+
+    Scoring runs on the calling thread, one slab of ``_SLAB`` windows after
+    another; BLAS already spreads each slab's GEMMs over the cores.
+    ``workers`` accepts only 1.  It stays a keyword because the benchmark
+    harness in ``perfbench/`` still passes ``workers=1``; it goes once the
+    harness stops.
     """
+    if workers != 1:
+        raise ConfigError(f"workers must be 1 (scoring runs on one thread), got {workers!r}")
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
     _check_geometry(model, window, horizon)
     offsets, contexts, lo, hi, truths = _windows(series, task, window, horizon, stride)
-    starts = range(0, len(offsets), _SLAB)
     mc = model.config
-
-    def slab(a: int) -> np.ndarray:
-        """Task-head outputs for the contexts from row ``a`` (shared read-only model)."""
+    slabs = []
+    for a in range(0, len(offsets), _SLAB):
         inputs = contexts[a : a + _SLAB].reshape(-1, mc.n_patches, mc.l_patch)
         _, z = encode(inputs.astype(np.float32), model, mode="infer")
         if task == "forecast":
-            return decode_forecast(z, model.forecast).data[:, :horizon]
-        return decode_reconstruct(z, model.reconstruct).data
-
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slabs = list(pool.map(slab, starts))
-    else:
-        slabs = [slab(a) for a in starts]
+            slabs.append(decode_forecast(z, model.forecast).data[:, :horizon])
+        else:
+            slabs.append(decode_reconstruct(z, model.reconstruct).data)
     pred = np.concatenate(slabs)
     mses = _row_mse(pred, truths)
     pers, meanb = _baselines(contexts, truths)

@@ -28,8 +28,8 @@ Conventions
   ``zero_grads``) overwrites it; copy a ``.grad`` to keep it.
 - Scanning every op output for NaN/Inf is an opt-in debug mode
   (``set_debug_checks`` / ``debug_checks``), off by default.  The setting is
-  one flag for the whole process, so it holds in worker threads too, and
-  the kernels scan, so it covers both forward paths.  With it off,
+  one flag for the whole process, every thread included, and the kernels
+  scan, so it covers both forward paths.  With it off,
   non-finite values are caught where they leave the system: the decoder
   outputs, the training loss, the gradient buffer and checkpoint load.
 """

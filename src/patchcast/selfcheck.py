@@ -26,8 +26,11 @@ from .numerics import Tensor, add, grad_check, mse, scale
 # heads, uneven d_ff) while keeping finite differencing fast
 TINY = dict(l_patch=4, n_patches=3, d_model=8, n_layers=2, n_heads=2, d_ff=12, l_pred=6)
 
-# parameter-redraw seed verified clean for all four (norm_kind, mode) combos
+# parameter-redraw seed verified clean for all four (norm_kind, mode) combos,
+# at this central-difference step and relative-error tolerance only
 CHECK_SEED = 12
+STEP = 1e-3
+TOLERANCE = 1e-3
 KINK_MARGIN = 0.02
 KINK_ROUNDS = 16  # bias-adjustment rounds before clear_relu_kinks gives up
 
@@ -105,7 +108,7 @@ def dual_loss_setup(norm_kind, mode):
     return m, forward
 
 
-def run_gradient_selfcheck(step=1e-3, tolerance=1e-3):
+def run_gradient_selfcheck(step=STEP, tolerance=TOLERANCE):
     """Dual-head gradient checks for every (norm kind, mode) combination.
 
     Returns a list of (label, GradCheckReport); the check passed if every

@@ -23,15 +23,6 @@ import numpy as np
 from .data import TimeSeries
 from .errors import ConfigError
 
-KINDS = (
-    "sinusoid_mixture",
-    "sawtooth",
-    "damped_oscillator",
-    "elastic_pendulum_proxy",
-    "exponential_relaxation",
-    "trended_random_walk",
-)
-
 HELD_OUT_KINDS = ("damped_oscillator", "exponential_relaxation")
 
 STANDARD_GRAVITY_IN_S2 = 386.09  # one imperial conversion, used only below
@@ -82,6 +73,7 @@ _SCHEMAS = {
         "drift_per_s": (True, False),
     },
 }
+KINDS = tuple(_SCHEMAS)
 
 _FREQUENCY_KEYS = ("frequencies_hz", "frequency_hz", "f1", "f2")
 _NON_NEGATIVE_KEYS = ("damping_rate", "g1", "g2", "tau_s", "noise_std",
@@ -488,6 +480,14 @@ def default_pretrain_recipe(
         )
 
     two_pi = 2.0 * math.pi
+    # each template is read, never written, by the two entries that share it
+    pendulum = {
+        "a1": (0.5, 1.0), "f1": (0.8, 2.5), "g1": (0.02, 0.08),
+        "a2": (0.2, 0.7), "f2": (2.7, 4.3), "g2": (0.03, 0.1),
+        "phase1": (0.0, two_pi), "phase2": (0.0, two_pi),
+        "perturb_scale": (0.05, 0.3), "perturb_decay": (0.05, 0.15),
+    }
+    walk = {"step_std": (0.005, 0.03), "drift_per_s": (-0.5, 0.5)}
     recipe = [
         entry("sinusoid_mixture", {
             "amplitudes": [(0.3, 1.0), (0.0, 0.6), (0.0, 0.4)],
@@ -507,26 +507,10 @@ def default_pretrain_recipe(
             "phase": (0.0, 1.0),
             "noise_std": (0.0, 0.02),
         }, noisy),
-        entry("elastic_pendulum_proxy", {
-            "a1": (0.5, 1.0), "f1": (0.8, 2.5), "g1": (0.02, 0.08),
-            "a2": (0.2, 0.7), "f2": (2.7, 4.3), "g2": (0.03, 0.1),
-            "phase1": (0.0, two_pi), "phase2": (0.0, two_pi),
-            "perturb_scale": (0.05, 0.3), "perturb_decay": (0.05, 0.15),
-        }, clean),
-        entry("elastic_pendulum_proxy", {
-            "a1": (0.5, 1.0), "f1": (0.8, 2.5), "g1": (0.02, 0.08),
-            "a2": (0.2, 0.7), "f2": (2.7, 4.3), "g2": (0.03, 0.1),
-            "phase1": (0.0, two_pi), "phase2": (0.0, two_pi),
-            "perturb_scale": (0.05, 0.3), "perturb_decay": (0.05, 0.15),
-        }, coarse),
-        entry("trended_random_walk", {
-            "step_std": (0.005, 0.03),
-            "drift_per_s": (-0.5, 0.5),
-        }, clean),
-        entry("trended_random_walk", {
-            "step_std": (0.005, 0.03),
-            "drift_per_s": (-0.5, 0.5),
-        }, scaled),
+        entry("elastic_pendulum_proxy", pendulum, clean),
+        entry("elastic_pendulum_proxy", pendulum, coarse),
+        entry("trended_random_walk", walk, clean),
+        entry("trended_random_walk", walk, scaled),
     ]
     for e in recipe:
         assert e.kind not in HELD_OUT_KINDS

@@ -1,14 +1,17 @@
 """Training loops and checkpoint persistence.
 
-One loop serves all four modes: dual-head self-supervised pretraining
-(forecast weighted 0.6, reconstruction 0.4), the two frozen-encoder
-fine-tuning variants, and from-scratch target training.  Freezing is
-structural — frozen tensors are simply never handed to the optimizer, and
-the encoder runs in infer mode so batch-norm running statistics stay put.
-A frozen encoder also runs off the tape, on plain arrays: it leaves no
-records, the reverse sweep covers only the decoder heads and the loss, and
-frozen tensors never receive a gradient.  The head a finetune does not train runs off the tape
-as well; its loss only fills its ``curve.csv`` column.
+One loop serves all four modes, and one switch, ``head``, picks what it
+trains.  With no head it trains every tensor on the dual loss (forecast
+weighted 0.6, reconstruction 0.4) with the encoder in train mode: that is
+self-supervised pretraining and from-scratch target training.  With a head
+(``"forecast"`` or ``"reconstruct"``) it is a finetune: only the
+``dec_{head}.`` tensors train, on that head's loss.  Freezing is structural —
+frozen tensors are simply never handed to the optimizer, and the encoder
+runs in infer mode so batch-norm running statistics stay put.  A frozen
+encoder also runs off the tape, on plain arrays: it leaves no records, the
+reverse sweep covers only the trained head and the loss, and frozen tensors
+never receive a gradient.  The idle head runs off the tape as well; its loss
+only fills its ``curve.csv`` column.
 
 The trainable set is one flat buffer: the model's whole arena for pretrain
 and target training, the contiguous ``dec_{head}.`` slice of it for a
@@ -59,7 +62,7 @@ from typing import NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .data import TimeSeries, make_batch
+from .data import TimeSeries, make_batch, split_series
 from .errors import (
     CheckpointCorruptError,
     CheckpointFormatError,
@@ -169,10 +172,13 @@ def _run_loop(
     model: Model,
     pool: Sequence[TimeSeries],
     cfg: TrainConfig,
-    trainable: dict,
-    encoder_mode: str,
-    loss_heads: str,  # "dual" | "forecast" | "reconstruct"
+    head: Optional[str] = None,  # None | "forecast" | "reconstruct"
 ) -> TrainResult:
+    """Train on batches drawn from ``pool``; ``head`` picks what trains (see
+    the module docstring)."""
+    trainable = model.named_parameters()
+    if head is not None:
+        trainable = {n: p for n, p in trainable.items() if n.startswith(f"dec_{head}.")}
     mc = model.config
     opt = AdamWState.initial(
         trainable, AdamWConfig(lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -199,11 +205,12 @@ def _run_loop(
         named.update(model.named_stats(copies[1]))
         return named
 
-    def forecast_loss(z, batch):
-        return mse(decode_forecast(z, model.forecast), Tensor(batch.forecast_targets))
-
-    def reconstruct_loss(z, batch):
+    def head_loss(name, z, batch):
+        if name == "forecast":
+            return mse(decode_forecast(z, model.forecast), Tensor(batch.forecast_targets))
         return mse(decode_reconstruct(z, model.reconstruct), Tensor(batch.reconstruction_targets))
+
+    idle = "reconstruct" if head == "forecast" else "forecast"
 
     for step in range(cfg.steps):
         batch = make_batch(
@@ -211,26 +218,22 @@ def _run_loop(
         )
         x = Tensor(batch.inputs)
         try:
-            if encoder_mode == "infer":
+            if head is None:
+                with Tape() as tape:
+                    _, z = encode(x, model, mode="train")
+                    f_loss = head_loss("forecast", z, batch)
+                    r_loss = head_loss("reconstruct", z, batch)
+                    total = add(scale(f_loss, wf), scale(r_loss, wr))
+            else:
                 # a frozen encoder runs off the tape: z reaches the heads as a
                 # constant, so backward sweeps only the head and loss records
                 _, z = encode(x, model, mode="infer")
-            with Tape() as tape:
-                if encoder_mode != "infer":
-                    _, z = encode(x, model, mode=encoder_mode)
-                if loss_heads == "dual":
-                    f_loss, r_loss = forecast_loss(z, batch), reconstruct_loss(z, batch)
-                    total = add(scale(f_loss, wf), scale(r_loss, wr))
-                elif loss_heads == "forecast":
-                    total = f_loss = forecast_loss(z, batch)
-                else:
-                    total = r_loss = reconstruct_loss(z, batch)
-            # the head a finetune leaves alone runs off the tape too: its loss
-            # only fills its curve column
-            if loss_heads == "forecast":
-                r_loss = reconstruct_loss(z, batch)
-            elif loss_heads == "reconstruct":
-                f_loss = forecast_loss(z, batch)
+                with Tape() as tape:
+                    total = head_loss(head, z, batch)
+                # the idle head runs off the tape too: its loss only fills its
+                # curve column
+                other = head_loss(idle, z, batch)
+                f_loss, r_loss = (total, other) if head == "forecast" else (other, total)
             f_v, r_v, t_v = f_loss.item(), r_loss.item(), total.item()
             if not np.isfinite(t_v):
                 raise NumericError(f"non-finite loss at step {step}")
@@ -266,21 +269,12 @@ def pretrain(
     """Dual-head self-supervised pretraining over a series pool."""
     if train_config.target_mode != "pretrain":
         raise ConfigError(f"pretrain called with target_mode={train_config.target_mode!r}")
-    model = init_params(model_config)
-    return _run_loop(
-        model, pool, train_config,
-        trainable=model.named_parameters(),
-        encoder_mode="train",
-        loss_heads="dual",
-    )
+    return _run_loop(init_params(model_config), pool, train_config)
 
 
 def _train_segment(series: TimeSeries, mc: ModelConfig) -> TimeSeries:
-    # the earliest 80% only; the split itself is owned by the eval module
-    from .eval import split_series  # local import: eval builds on this module
-
-    train_seg, _, _ = split_series(series, mc.context_length, mc.l_pred)
-    return train_seg
+    """The earliest 80% of ``series``: the split's train segment."""
+    return split_series(series, mc.context_length, mc.l_pred)[0]
 
 
 def finetune(
@@ -302,15 +296,8 @@ def finetune(
         raise ConfigError(
             f"finetune requires a finetune target_mode, got {train_config.target_mode!r}"
         )
-    head = "forecast" if train_config.target_mode.endswith("forecast") else "reconstruct"
-    prefix = f"dec_{head}."
-    trainable = {n: p for n, p in model.named_parameters().items() if n.startswith(prefix)}
-    return _run_loop(
-        model, [_train_segment(target, model.config)], train_config,
-        trainable=trainable,
-        encoder_mode="infer",
-        loss_heads=head,
-    )
+    head = train_config.target_mode.removeprefix("finetune_")
+    return _run_loop(model, [_train_segment(target, model.config)], train_config, head)
 
 
 def target_train(
@@ -323,13 +310,8 @@ def target_train(
         raise ConfigError(
             f"target_train requires target_mode='target_train', got {train_config.target_mode!r}"
         )
-    model = init_params(model_config)
-    return _run_loop(
-        model, [_train_segment(target, model.config)], train_config,
-        trainable=model.named_parameters(),
-        encoder_mode="train",
-        loss_heads="dual",
-    )
+    segment = _train_segment(target, model_config)
+    return _run_loop(init_params(model_config), [segment], train_config)
 
 
 def write_curve_csv(path, curve: Sequence[LossRecord]) -> None:

@@ -65,7 +65,7 @@ def ev(cfg_file, pre, target_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("ev")
     argv = ["eval", "--config", str(cfg_file),
             "--checkpoint", str(pre / "checkpoint.omg"), "--data", str(target_csv),
-            "--out", str(out), "--workers", "3", "--emit-traces"]
+            "--out", str(out), "--emit-traces"]
     assert main(argv) == 0
     return out
 
@@ -168,7 +168,7 @@ class TestEval:
         out = tmp_path / "rerun"
         argv = ["eval", "--config", str(ev / "config.resolved"),
                 "--checkpoint", str(pre / "checkpoint.omg"), "--data", str(target_csv),
-                "--out", str(out), "--workers", "1"]
+                "--out", str(out)]
         assert main(argv) == 0
         assert (out / "windows.csv").read_bytes() == (ev / "windows.csv").read_bytes()
         assert (out / "report.csv").read_bytes() == (ev / "report.csv").read_bytes()
@@ -179,6 +179,13 @@ class TestEval:
                 "--window", "64", "--horizon", "999"]
         assert main(argv) == 1
         assert "l_pred" in capsys.readouterr().err
+
+    def test_workers_flag_is_a_usage_error(self, pre, target_csv, tmp_path, capsys):
+        # scoring runs on one thread; there is no worker count to set
+        argv = ["eval", "--checkpoint", str(pre / "checkpoint.omg"),
+                "--data", str(target_csv), "--out", str(tmp_path / "x"), "--workers", "2"]
+        assert main(argv) == 1
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestTraceCommands:
@@ -323,7 +330,7 @@ class TestNonFiniteExits:
     def test_eval_writes_no_report(self, cfg_file, overflowing, target_csv, tmp_path, capsys):
         out = tmp_path / "ev"
         argv = ["eval", "--config", str(cfg_file), "--checkpoint", str(overflowing),
-                "--data", str(target_csv), "--out", str(out), "--workers", "2", "--emit-traces"]
+                "--data", str(target_csv), "--out", str(out), "--emit-traces"]
         assert main(argv) == 2
         assert "forecast decoder" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
@@ -345,7 +352,7 @@ class TestGradcheckCommand:
     # console contract is exercised, against stubbed reports
     def _fake(self, passed):
         report = types.SimpleNamespace(passed=passed, max_rel_error=5e-4)
-        return lambda step, tolerance: [("layer/train", report), ("batch/infer", report)]
+        return lambda: [("layer/train", report), ("batch/infer", report)]
 
     def test_all_pass_exits_zero(self, monkeypatch, capsys):
         import patchcast.cli as cli_mod
@@ -354,6 +361,7 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "layer/train" in out and "[ok]" in out
+        assert "(tolerance 1.0e-03)" in out
 
     def test_any_failure_exits_two(self, monkeypatch, capsys):
         import patchcast.cli as cli_mod
@@ -361,6 +369,12 @@ class TestGradcheckCommand:
         monkeypatch.setattr(cli_mod, "run_gradient_selfcheck", self._fake(False))
         assert main(["gradcheck"]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_step_flag_is_a_usage_error(self, capsys):
+        # the step and tolerance are the self-check's verified constants
+        assert main(["gradcheck", "--step", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "--step" in err and "Traceback" not in err
 
 
 class TestLogging:

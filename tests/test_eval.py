@@ -205,14 +205,13 @@ class TestZeroShot:
         b = evaluate_zero_shot(model, series, "forecast", W, H, S)
         assert [w.mse for w in a.per_window] == [w.mse for w in b.per_window]
 
-    def test_workers_do_not_change_results(self, model, series):
-        a = evaluate_zero_shot(model, series, "forecast", W, H, S)
-        b = evaluate_zero_shot(model, series, "forecast", W, H, S, workers=4)
-        assert [w.mse for w in a.per_window] == [w.mse for w in b.per_window]
+    def test_more_than_one_worker_is_rejected(self, model, series):
+        with pytest.raises(ConfigError, match="workers"):
+            evaluate_zero_shot(model, series, "forecast", W, H, S, workers=2)
 
     def test_single_blas_thread_matches_default_threading(self, model, series, tmp_path):
-        # one subprocess pinned to one BLAS thread scores the same checkpoint
-        # with one and two workers; both must equal this process bitwise
+        # a subprocess pinned to one BLAS thread scores the same checkpoint
+        # bitwise equal to this process
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(model, ckpt)
         script = (
@@ -224,9 +223,8 @@ class TestZeroShot:
             "spec = PhenomenonSpec('sinusoid_mixture', 30.0, 64.0,\n"
             "    {'amplitudes': [1.0, 0.4], 'frequencies_hz': [1.0, 5.0]}, seed=1)\n"
             "series = generate_quantity(spec)\n"
-            "print(json.dumps({str(k): [float(w.mse).hex() for w in evaluate_zero_shot(\n"
-            f"    model, series, 'forecast', {W}, {H}, {S}, workers=k).per_window]\n"
-            "    for k in (1, 2)}))\n"
+            "print(json.dumps([float(w.mse).hex() for w in evaluate_zero_shot(\n"
+            f"    model, series, 'forecast', {W}, {H}, {S}).per_window]))\n"
         )
         src = str(Path(patchcast.__file__).resolve().parents[1])
         env = {
@@ -243,7 +241,7 @@ class TestZeroShot:
         rep = evaluate_zero_shot(model, series, "forecast", W, H, S)
         here = [float(w.mse).hex() for w in rep.per_window]
         assert len(here) > 1
-        assert pinned == {"1": here, "2": here}
+        assert pinned == here
 
     def test_short_horizon_scores_prefix(self, model, series):
         rep = evaluate_zero_shot(model, series, "forecast", W, 8, S)
@@ -301,19 +299,18 @@ def _with_weight(model, name, value):
 
 class TestNonFiniteBoundary:
     """With the default settings a non-finite value is caught at the decoder's
-    output; the per-op scans are an opt-in debug mode for every thread."""
+    output; the per-op scans are an opt-in debug mode."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_nan_weight_raises_at_the_decoder(self, model, series, workers):
+    def test_nan_weight_raises_at_the_decoder(self, model, series):
         bad = _with_weight(model, "layers.0.attn.wq", np.nan)
         assert (len(series.values) - W - H) // S + 1 > eval_mod._SLAB  # two slabs
         with pytest.raises(NumericError, match="forecast decoder"):
-            evaluate_zero_shot(bad, series, "forecast", W, H, S, workers=workers)
+            evaluate_zero_shot(bad, series, "forecast", W, H, S)
 
-    def test_debug_checks_name_the_op_in_worker_threads(self, model, series):
+    def test_debug_checks_name_the_op(self, model, series):
         bad = _with_weight(model, "layers.0.attn.wq", np.nan)
         with debug_checks(True), pytest.raises(NumericError, match="output of linear"):
-            evaluate_zero_shot(bad, series, "forecast", W, H, S, workers=2)
+            evaluate_zero_shot(bad, series, "forecast", W, H, S)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     @pytest.mark.parametrize("task", ["forecast", "reconstruct"])
