@@ -57,6 +57,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .numerics import NormState, Tensor, tile
 from .numerics.ops import NORM_KINDS, forward_ops, inverse_std
+from .numerics.tensor import FLOAT_DTYPES
 
 
 @dataclass(frozen=True)
@@ -282,14 +283,15 @@ def empty_model(config: ModelConfig, dtype=np.float32) -> Model:
     """The structure the two specs imply, every value left uninitialised.
 
     For callers that overwrite every parameter and statistic (checkpoint
-    load, clone): no fill, no random numbers drawn.
+    load, clone) and for ``init_params``: no fill, no random numbers drawn.
+    Each parameter tensor adopts its freshly sliced view of the arena as is.
     """
     frame = _frame(config)
     arena = np.empty(frame.size, dtype)
-    params = {
-        name: Tensor(view, requires_grad=True)
-        for name, view in zip(frame.names, tile(arena, frame.shapes))
-    }
+    if arena.dtype not in FLOAT_DTYPES:
+        raise ContractError(f"tensors are float32/float64 only, got {arena.dtype}")
+    adopt = Tensor.adopt
+    params = {name: adopt(view, True) for name, view in zip(frame.names, tile(arena, frame.shapes))}
     model = Model(config, params, arena, np.empty(frame.stat_size, dtype))
     stats = model.named_stats()
     model.norm_states = {

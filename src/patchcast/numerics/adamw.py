@@ -11,8 +11,9 @@ or a contiguous slice of it); the moments and the gradients are matching flat
 buffers.  Each tensor's slot in the gradient buffer is its gradient home
 (``Tensor.grad_home``), so the reverse sweep writes its gradient there and
 nothing is gathered.  A step copies only a ``.grad`` that is not its slot
-(one set by hand), scans the gradient buffer once for NaN/Inf, then applies
-the update block by block, with every intermediate written into two
+(one set by hand), checks the gradient buffer for NaN/Inf (``all_finite``:
+one dot product unless its sum of squares is not finite), then applies the
+update block by block, with every intermediate written into two
 block-sized scratch buffers, so the working set stays in cache.  Elementwise
 float ufuncs give the same per-element result however the array is grouped,
 so the step is bitwise equal to the per-tensor update that runs the same
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, NumericError
-from .tensor import tile
+from .tensor import all_finite, tile
 
 # elements per block: g, m, v, theta and both scratch slices fit in L2 together
 _BLOCK = 1 << 16
@@ -141,7 +142,7 @@ def adamw_step(params: dict, state: AdamWState) -> None:
         raise ContractError(
             f"step got {len(params)} of the {len(state.slots)} parameters this state updates"
         )
-    if not np.isfinite(state.grad).all():
+    if not all_finite(state.grad):
         bad = next(n for n, (_, g) in state.slots.items() if not np.isfinite(g).all())
         raise NumericError(f"non-finite gradient for parameter {bad!r}")
 

@@ -32,6 +32,11 @@ Conventions
   scan, so it covers both forward paths.  With it off,
   non-finite values are caught where they leave the system: the decoder
   outputs, the training loss, the gradient buffer and checkpoint load.
+- The last two check whole flat buffers with ``all_finite``: one BLAS dot
+  product of the buffer with itself, whose finite result proves every
+  element finite, with no boolean temporary.  Only a NaN, an Inf or finite
+  values whose squares overflow make the sum non-finite, and only then does
+  the exact elementwise scan run, so the answer is always the scan's.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from ..errors import ContractError, NumericError, UnknownNodeError
 
 DEFAULT_DTYPE = np.float32
 
-_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
@@ -72,18 +77,29 @@ class Tensor:
     __slots__ = ("data", "grad", "grad_home", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is not None:
-            arr = np.asarray(data, dtype=dtype)
-        elif isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
+        if dtype is None and isinstance(data, np.ndarray) and data.dtype in FLOAT_DTYPES:
             arr = data  # float arrays keep their precision
         else:
-            arr = np.asarray(data, dtype=DEFAULT_DTYPE)  # lists, scalars, ints
-        if arr.dtype not in _FLOAT_DTYPES:
-            raise ContractError(f"tensors are float32/float64 only, got {arr.dtype}")
+            # lists, scalars and ints become float32 unless a dtype is forced
+            arr = np.asarray(data, dtype=DEFAULT_DTYPE if dtype is None else dtype)
+            if arr.dtype not in FLOAT_DTYPES:
+                raise ContractError(f"tensors are float32/float64 only, got {arr.dtype}")
         self.data = np.ascontiguousarray(arr)
         self.grad: Optional[np.ndarray] = None
         self.grad_home: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
+
+    @classmethod
+    def adopt(cls, data: np.ndarray, requires_grad: bool = False) -> "Tensor":
+        """Wrap ``data`` as is, unchecked: the caller guarantees a C-contiguous
+        native float32/float64 ndarray (say, a view just sliced from a model's
+        arena).  Skips the constructor's call and checks."""
+        t = object.__new__(cls)
+        t.data = data
+        t.grad = None
+        t.grad_home = None
+        t.requires_grad = requires_grad
+        return t
 
     @property
     def shape(self) -> tuple:
@@ -204,6 +220,22 @@ def check_finite(op: str, arr: np.ndarray) -> None:
         raise NumericError(f"non-finite values in output of {op}")
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every element of ``arr`` is finite, usually in one pass.
+
+    A finite sum of squares proves every element finite, and one BLAS dot
+    computes it with no temporary.  Only a non-finite sum (a NaN or an Inf,
+    or finite values whose squares overflow) runs the exact elementwise scan,
+    so this accepts exactly what ``np.isfinite(arr).all()`` accepts.  The
+    overflow is expected there, so its warning is silenced.
+    """
+    flat = arr.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(flat @ flat):
+            return True
+    return bool(np.isfinite(flat).all())
+
+
 # ---------------------------------------------------------------------------
 # reverse sweep
 
@@ -257,7 +289,8 @@ def tile(buf: np.ndarray, shapes) -> list:
     views, start = [], 0
     for shape in shapes:
         stop = start + math.prod(shape)
-        views.append(buf[start:stop].reshape(shape))
+        view = buf[start:stop]
+        views.append(view if len(shape) == 1 else view.reshape(shape))  # a slice is 1-D already
         start = stop
     return views
 

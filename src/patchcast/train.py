@@ -36,18 +36,27 @@ every save writes that order, and a load rejects any other.  So every record
 header (name, rank, dims) follows from the config, and is packed once per
 config and cached.
 
-A save writes the whole file with ``os.writev`` into a temporary file that
-then replaces the target.  A load parses the magic, version and config, checks
-that the file is exactly as long as that config predicts, and then reads the
-tensor count, every header and every payload with one ``os.readv``: headers
-into scratch, payloads straight into an uninitialised model's arena and
-``stats`` views, so the data is copied once and no random numbers are drawn.
-The headers are compared as bytes, and the arena and the statistics are each
-scanned once for NaN/Inf.  Any mismatch hands the file to ``_diagnose``,
-which walks it field by field and raises the typed error naming what is
-wrong; it fills no model.  ``clone_model`` copies the arena and ``stats``
-into such a model.  The I/O needs a POSIX host, and loading straight into
-native float32 arrays needs a little-endian one.
+Both directions follow one read plan, cached per config: every buffer after
+the config block in file order, as a slice of the records scratch (tensor
+count, headers, step counter), of the arena or of ``stats``.  A save writes
+the whole file with ``os.writev`` into a temporary file that then replaces
+the target.  A load reads the magic, version, config length and config block
+with one ``os.pread`` of the file's first ``_HEAD`` bytes; a longer block,
+which no save writes, falls back to bounded reads.  A block that fits is
+parsed once and its config cached.  Before any per-layer work the file is
+checked against an O(1) lower bound on the bytes that config implies, so a
+corrupt config that implies an absurd model fails at once; then the file must
+be exactly as long as the config predicts.  One ``os.preadv`` reads the
+rest: headers and step into scratch, payloads straight into an uninitialised
+model's arena and ``stats`` views (its tensors adopt those views as is), so
+the data is copied once and no random numbers are drawn.  The headers are
+compared as bytes, and the arena and the statistics are each checked for
+NaN/Inf with one dot product (``all_finite``), which falls back to the exact
+scan only when the sum of squares is not finite.  Any mismatch hands the
+file to ``_diagnose``, which walks it field by field and raises the typed
+error naming what is wrong; it fills no model.  ``clone_model`` copies the
+arena and ``stats`` into such a model.  The I/O needs a POSIX host, and
+loading straight into native float32 arrays needs a little-endian one.
 """
 
 from __future__ import annotations
@@ -89,6 +98,7 @@ from .numerics import (
     Tensor,
     adamw_step,
     add,
+    all_finite,
     backward,
     mse,
     scale,
@@ -153,11 +163,17 @@ class TrainResult:
 
 def restore_snapshot(model: Model, snapshot: dict) -> None:
     """Write a snapshot back into the matching parameters and statistics."""
-    targets = _checkpoint_tensors(model)
+    stats = None  # the statistics views, built once a snapshot names one
     for name, values in snapshot.items():
-        if name not in targets:
+        param = model.params.get(name)
+        if param is not None:
+            param.data[...] = values
+            continue
+        if stats is None:
+            stats = model.named_stats()
+        if name not in stats:
             raise ConfigError(f"snapshot names unknown tensor {name!r}")
-        targets[name][...] = values
+        stats[name][...] = values
 
 
 def clone_model(model: Model) -> Model:
@@ -334,56 +350,81 @@ def _checkpoint_tensors(model: Model) -> dict:
 # a vectored read or write takes at most this many buffers per call
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
+# One read of this many bytes fetches the magic, the version, the config
+# length and, for any config a save writes, the whole config block.
+_HEAD = 512
+_CONFIG_AT = 12  # the config block's first byte
+
 
 class _Layout(NamedTuple):
     """The checkpoint fields that follow from one model config."""
 
-    prefix: bytes  # magic, version, config block and tensor count, as saved
+    head: bytes  # magic, version, config length and config block, as saved
     names: tuple  # every record's tensor, in checkpoint order
     shapes: tuple
-    headers: tuple  # each record's packed name length, name, rank and dims
-    spans: tuple  # each payload's (buffer, first byte, end byte): arena 0, stats 1
-    expected: bytes  # the tensor count and every header, back to back
+    records: bytes  # the tensor count and every record header, back to back
+    # Everything after the config block, in file order, as (source, first
+    # byte, end byte): source 0 is a buffer holding ``records`` then the
+    # 8-byte step counter, 1 the arena's bytes, 2 the statistics' bytes.
+    plan: tuple
+    reads: tuple  # each vectored call: (first, end) into ``plan``, its file offset after the config, its bytes
     records_size: int  # bytes from the tensor count to the end of the file
 
 
 @functools.lru_cache(maxsize=16)
 def _layout(config: ModelConfig) -> _Layout:
-    names, shapes, headers, spans = [], [], [], []
-    for buf, spec in enumerate((param_spec(config), stat_spec(config))):
+    names, shapes, headers, plan = [], [], [], [(0, 0, 4)]
+    at = 4  # the tensor count comes first in the records buffer
+    for source, spec in enumerate((param_spec(config), stat_spec(config)), start=1):
         pos = 0
         for name, shape, _ in spec:
             enc = name.encode("utf-8")
+            header = struct.pack(f"<H{len(enc)}sB{len(shape)}I", len(enc), enc, len(shape), *shape)
             names.append(name)
             shapes.append(shape)
-            headers.append(
-                struct.pack(f"<H{len(enc)}sB{len(shape)}I", len(enc), enc, len(shape), *shape)
-            )
-            spans.append((buf, pos, pos + 4 * math.prod(shape)))
-            pos = spans[-1][2]
+            headers.append(header)
+            plan += [(0, at, at + len(header)), (source, pos, pos + 4 * math.prod(shape))]
+            at, pos = at + len(header), plan[-1][2]
+    plan.append((0, at, at + 8))  # the step counter
+    reads, offset = [], 0
+    for lo in range(0, len(plan), _IOV_MAX):
+        size = sum(hi - first for _, first, hi in plan[lo : lo + _IOV_MAX])
+        reads.append((lo, lo + _IOV_MAX, offset, size))
+        offset += size
     config_block = "".join(f"{k}={v}\n" for k, v in config.to_dict().items()).encode("utf-8")
-    count = struct.pack("<I", len(names))
-    prefix = MAGIC + struct.pack("<II", FORMAT_VERSION, len(config_block)) + config_block + count
-    expected = count + b"".join(headers)
-    payload = sum(hi - lo for _, lo, hi in spans)
-    return _Layout(
-        prefix, tuple(names), tuple(shapes), tuple(headers), tuple(spans), expected,
-        len(expected) + payload + 8,
+    head = MAGIC + struct.pack("<II", FORMAT_VERSION, len(config_block)) + config_block
+    records = struct.pack("<I", len(names)) + b"".join(headers)
+    return _Layout(head, tuple(names), tuple(shapes), records, tuple(plan), tuple(reads), offset)
+
+
+def _floats_floor(config: ModelConfig) -> int:
+    """A lower bound, in O(1), on the float32 values a checkpoint of ``config`` holds.
+
+    It counts only weight matrices of :func:`param_spec`: each encoder
+    layer's four attention and two feedforward matrices, the patch
+    projection, and the two heads' output layers.  Every dimension enters a
+    product, so a corrupt config that implies an absurd model is refused
+    before any per-layer work (or a dimension too wide for a header word).
+    """
+    d = config.d_model
+    return (
+        config.n_layers * (4 * d * d + 2 * d * config.d_ff)
+        + config.l_patch * d + d * config.l_pred
+        + config.reconstruct_hidden * config.reconstruct_out
     )
 
 
-def _payload_views(lay: _Layout, arena: np.ndarray, stats: np.ndarray) -> list:
-    """Each record's payload as a byte view of the float32 ``arena`` or ``stats``."""
-    raw = (memoryview(arena).cast("B"), memoryview(stats).cast("B"))
-    return [raw[buf][lo:hi] for buf, lo, hi in lay.spans]
+def _iovecs(lay: _Layout, records, arena: np.ndarray, stats: np.ndarray) -> list:
+    """``lay.plan`` as byte views of ``records`` and the float32 ``arena`` and ``stats``."""
+    sources = (records, memoryview(arena).cast("B"), memoryview(stats).cast("B"))
+    return [sources[source][lo:hi] for source, lo, hi in lay.plan]
 
 
-def _writev(fd: int, buffers: list) -> None:
-    """Write ``buffers`` in order, continuing short writes.
+def _writev(fd: int, bufs: list) -> None:
+    """Write the byte memoryviews ``bufs`` in order, continuing short writes.
 
     A write that makes no progress raises OSError, as a failing one does.
     """
-    bufs = [memoryview(b).cast("B") for b in buffers]
     i = 0
     while i < len(bufs):
         n = os.writev(fd, bufs[i : i + _IOV_MAX])
@@ -404,13 +445,12 @@ def save_checkpoint(model: Model, path, step: int = 0) -> None:
     so a save that fails part-way leaves any previous checkpoint intact.
     """
     lay = _layout(model.config)
-    payloads = _payload_views(
+    buffers = [memoryview(lay.head)] + _iovecs(
         lay,
+        memoryview(lay.records + struct.pack("<Q", step)),
         np.ascontiguousarray(model.arena, dtype="<f4"),
         np.ascontiguousarray(model.stats, dtype="<f4"),
     )
-    records = [b for pair in zip(lay.headers, payloads) for b in pair]
-    buffers = [lay.prefix, *records, struct.pack("<Q", step)]
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -468,45 +508,52 @@ def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
     host.
     """
     with open(path, "rb", buffering=0) as fh:
-        r = _Reader(fh)
-        if r.left < 8 or r.take(4, "magic") != MAGIC:
+        fd = fh.fileno()
+        size = os.fstat(fd).st_size
+        head = os.pread(fd, _HEAD, 0)
+        if len(head) < 8 or head[:4] != MAGIC:
             raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = r.unpack("<I", "version")
+        (version,) = struct.unpack_from("<I", head, 4)
         if version != FORMAT_VERSION:
             raise CheckpointVersionError(
                 f"{path}: format version {version}, expected {FORMAT_VERSION}"
             )
-        (config_len,) = r.unpack("<I", "config length")
-        config = _read_config(r.take(config_len, "config block"))
+        if len(head) < _CONFIG_AT:
+            raise CheckpointCorruptError("checkpoint truncated while reading config length")
+        start = _CONFIG_AT + struct.unpack_from("<I", head, 8)[0]  # the tensor count's byte
+        if start <= len(head):
+            config = _cached_config(head[_CONFIG_AT:start])
+        else:  # a block longer than the head read, or a file that ends inside it
+            fh.seek(_CONFIG_AT)
+            config = _read_config(_Reader(fh).take(start - _CONFIG_AT, "config block"))
         if expect_config is not None and config != expect_config:
             theirs, ours = config.to_dict(), expect_config.to_dict()
             diff = [k for k in ours if theirs.get(k) != ours[k]]
             raise CheckpointCorruptError(
                 f"checkpoint config does not match the requested one (differs in {diff})"
             )
+        floor = 4 * _floats_floor(config)
+        if size - start < floor:
+            raise CheckpointCorruptError(
+                f"checkpoint holds {size - start} bytes after its config block, "
+                f"fewer than the {floor} its config implies"
+            )
 
-        lay, start = _layout(config), fh.tell()
-        if r.left != lay.records_size:
+        lay = _layout(config)
+        if size - start != lay.records_size:
             _diagnose(fh, start, lay)
         model = empty_model(config)
-        stored, step = bytearray(len(lay.expected)), bytearray(8)
-        scratch, slots, pos = memoryview(stored), [], 4
-        for header in lay.headers:
-            slots.append(scratch[pos : pos + len(header)])
-            pos += len(header)
-        payloads = _payload_views(lay, model.arena, model.stats)
-        records = [b for pair in zip(slots, payloads) for b in pair]
-        buffers = [scratch[:4], *records, step]
-        for lo in range(0, len(buffers), _IOV_MAX):
-            chunk = buffers[lo : lo + _IOV_MAX]
-            if os.readv(fh.fileno(), chunk) != sum(map(len, chunk)):
+        scratch = bytearray(len(lay.records) + 8)  # the records, then the step counter
+        buffers = _iovecs(lay, memoryview(scratch), model.arena, model.stats)
+        for lo, hi, offset, n in lay.reads:
+            if os.preadv(fd, buffers[lo:hi], start + offset) != n:
                 _diagnose(fh, start, lay)  # the file shrank while it was read
-        if stored != lay.expected:
+        if not scratch.startswith(lay.records):
             _diagnose(fh, start, lay)
-    if not (np.isfinite(model.arena).all() and np.isfinite(model.stats).all()):
+    if not (all_finite(model.arena) and all_finite(model.stats)):
         bad = next(n for n, a in _checkpoint_tensors(model).items() if not np.isfinite(a).all())
         raise CheckpointCorruptError(f"tensor {bad!r} holds non-finite values")
-    return model, struct.unpack("<Q", step)[0]
+    return model, struct.unpack_from("<Q", scratch, len(lay.records))[0]
 
 
 def _diagnose(fh, start: int, lay: _Layout) -> NoReturn:
@@ -571,3 +618,10 @@ def _read_config(raw: bytes) -> ModelConfig:
         return ModelConfig.from_dict(config_dict)
     except (ConfigError, ValueError) as exc:
         raise CheckpointCorruptError(f"embedded config invalid: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_config(raw: bytes) -> ModelConfig:
+    """``_read_config`` for a block that fits the head read, so at most
+    ``_HEAD`` bytes per entry; the config is frozen, so loads share it."""
+    return _read_config(raw)

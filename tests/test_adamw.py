@@ -1,11 +1,13 @@
 """Optimizer semantics: bias correction, decoupled decay, state hygiene."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import patchcast.train as train_mod
-from patchcast.errors import ContractError
+from patchcast.errors import ContractError, NumericError
 from patchcast.model import ModelConfig, init_params
 from patchcast.numerics import AdamWConfig, AdamWState, Tape, Tensor, adamw_step, backward
 from patchcast.numerics.adamw import BETA1, BETA2, EPS
@@ -261,3 +263,53 @@ def test_finetune_gives_frozen_tensors_no_gradient(monkeypatch):
         assert p.grad is None, name
         if name.startswith("dec_forecast."):
             assert p.grad_home is None, name  # released with the loop's optimizer
+
+
+def _gradients(params, rng, dtype):
+    return {n: rng.normal(0.0, 0.1, size=p.shape).astype(dtype) for n, p in params.items()}
+
+
+def test_gradient_whose_squares_overflow_steps_like_the_per_tensor_loop():
+    # each square fits float32, their sum does not: the finiteness probe's dot
+    # overflows, so the exact scan decides, and it passes without a warning
+    params = init_params(SMALL).named_parameters()
+    opt_cfg = AdamWConfig(lr=3e-3, weight_decay=0.05)
+    state = AdamWState.initial(params, opt_cfg)
+    ref = {n: (p.data.copy(), None) for n, p in params.items()}
+    m = {n: np.zeros_like(p.data) for n, p in params.items()}
+    v = {n: np.zeros_like(p.data) for n, p in params.items()}
+    grads = _gradients(params, np.random.default_rng(7), np.float32)
+    grads["layers.0.ff.w1"].flat[:4] = 1.5e19
+    for name, p in params.items():
+        p.grad = grads[name]
+        ref[name] = (ref[name][0], grads[name].copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adamw_step(params, state)
+        reference_step(ref, m, v, 1, opt_cfg)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(state.grad @ state.grad)
+    for name, p in params.items():
+        assert_array_equal(p.data, ref[name][0], err_msg=name)
+    assert_array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_gradient_raises_before_any_write(value):
+    params = init_params(SMALL).named_parameters()
+    state = AdamWState.initial(params)
+    rng = np.random.default_rng(8)
+    for _ in range(2):  # a step first, so the moments are not all zero
+        for name, g in _gradients(params, rng, np.float32).items():
+            params[name].grad = g
+        adamw_step(params, state)
+    before = state.flat.copy(), state.m.copy(), state.v.copy(), state.step
+    for name, g in _gradients(params, rng, np.float32).items():
+        params[name].grad = g
+    params["dec_forecast.b2"].grad[-1] = value
+    with pytest.raises(NumericError, match="'dec_forecast.b2'"):
+        adamw_step(params, state)
+    assert_array_equal(state.flat, before[0])
+    assert_array_equal(state.m, before[1])
+    assert_array_equal(state.v, before[2])
+    assert state.step == before[3]

@@ -6,6 +6,7 @@ fixtures keep the total runtime to a few seconds.
 """
 
 import csv
+import struct
 import types
 
 import pytest
@@ -391,3 +392,21 @@ class TestLogging:
                 "--out", str(tmp_path / "pre")]
         assert main(argv) == 0
         assert "INFO patchcast.train" in capsys.readouterr().err
+
+
+class TestCorruptConfigExits:
+    @pytest.mark.parametrize("config_text", [
+        "d_model=8589934592\nn_heads=4\n",
+        "l_patch=8\nn_patches=8\nd_model=16\nn_layers=100000\nn_heads=2\nd_ff=24\nl_pred=16\n",
+    ], ids=["wide-model", "many-layers"])
+    def test_forecast_exits_two_without_traceback(self, target_csv, tmp_path, capsys, config_text):
+        block = config_text.encode()
+        head = b"OMGA" + struct.pack("<II", 1, len(block)) + block
+        bad = tmp_path / "bad.omg"
+        bad.write_bytes(head + b"\x00" * (32 * 1024 - len(head)))
+        argv = ["forecast", "--checkpoint", str(bad), "--data", str(target_csv),
+                "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "config implies" in err
+        assert "Traceback" not in err
