@@ -11,7 +11,6 @@ by ``data.normalize_rows``, and the model MSE and both baselines are row
 reductions over that block.
 """
 
-import hashlib
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -80,7 +79,6 @@ class EvalReport:
     mean_mse: float
     persistence_mse: float
     mean_baseline_mse: float
-    config_fingerprint: str
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -103,12 +101,6 @@ class EvalReport:
     @property
     def n_windows(self) -> int:
         return len(self.per_window)
-
-
-def config_fingerprint(config) -> str:
-    """Short stable digest of a model configuration."""
-    text = ";".join(f"{k}={v}" for k, v in sorted(config.to_dict().items()))
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +219,6 @@ def evaluate_zero_shot(
         mean_mse=float(mses.mean()),
         persistence_mse=float(pers.mean()),
         mean_baseline_mse=float(meanb.mean()),
-        config_fingerprint=config_fingerprint(model.config),
     )
 
 
@@ -260,7 +251,6 @@ def baseline_persistence(
         mean_mse=mean_p,
         persistence_mse=mean_p,
         mean_baseline_mse=float(meanb.mean()),
-        config_fingerprint="baseline",
     )
 
 
@@ -281,17 +271,14 @@ def select_best_snapshot(
     earliest.  Returns (step, validation_mse) of the winner."""
     if not result.snapshots:
         raise ContractError("training produced no snapshots to select from")
-    best_step, best_mse = None, None
+    best_step, best_mse, best_snap = None, None, None
     for step, snap in result.snapshots:
         restore_snapshot(model, snap)
         report = evaluate_zero_shot(model, validation, task, window, horizon, stride)
         log.debug("snapshot step %d validation mse %.6g", step, report.mean_mse)
         if best_mse is None or report.mean_mse < best_mse:
-            best_step, best_mse = step, report.mean_mse
-    for step, snap in result.snapshots:
-        if step == best_step:
-            restore_snapshot(model, snap)
-            break
+            best_step, best_mse, best_snap = step, report.mean_mse, snap
+    restore_snapshot(model, best_snap)
     return best_step, best_mse
 
 
@@ -406,11 +393,6 @@ def three_way_compare(
         return report, step
 
     reports["target_trained"], tt_step = leg("target-trained", run_target_trained)
-
-    counts = {v: r.n_windows for v, r in reports.items()}
-    if len(set(counts.values())) != 1:
-        raise ContractError(f"window counts diverged across variants: {counts}")
-
     summary = CompareSummary(
         zero_shot_mse=reports["zero_shot"].mean_mse,
         fine_tuned_mse=reports["fine_tuned"].mean_mse,

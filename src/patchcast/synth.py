@@ -6,6 +6,14 @@ band-limited early perturbation, first-order relaxation curves, and trended
 random walks.  A sensor model then applies gain/offset, additive Gaussian
 noise, clipping, and uniform quantization.
 
+A kind is one generator ``_<kind>(t, rate_hz, rng, *, <params>) -> values``
+listed in ``_GENERATORS``.  Its keyword-only parameters are the kind's schema:
+one without a default is required, and a default is the value an absent
+parameter takes; ``KINDS`` and the ``PhenomenonSpec`` checks follow from it.
+A new parameter joins ``_LIST_KEYS`` if it takes a list, ``_FREQUENCY_KEYS``
+if it must stay below Nyquist, and ``_NON_NEGATIVE_KEYS`` if it must not be
+negative.  Generators get floats (or lists of them) and draw only from ``rng``.
+
 The default pretraining recipe deliberately leaves out two kinds —
 damped_oscillator and exponential_relaxation — which are reserved for
 held-out zero-shot evaluation.
@@ -14,6 +22,8 @@ held-out zero-shot evaluation.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -36,48 +46,81 @@ def spring_mass_frequency_hz(spring_rate_lbs_per_inch: float, weight_lbs: float)
     return omega / (2.0 * math.pi)
 
 
-# per-kind parameter schemas: name -> (required, list-valued)
-_SCHEMAS = {
-    "sinusoid_mixture": {
-        "amplitudes": (True, True),
-        "frequencies_hz": (True, True),
-        "phases": (False, True),
-        "noise_std": (False, False),
-    },
-    "sawtooth": {
-        "amplitude": (True, False),
-        "frequency_hz": (True, False),
-        "phase": (False, False),
-        "noise_std": (False, False),
-    },
-    "damped_oscillator": {
-        "amplitude": (True, False),
-        "frequency_hz": (True, False),
-        "damping_rate": (True, False),
-        "phase": (False, False),
-    },
-    "elastic_pendulum_proxy": {
-        "a1": (True, False), "f1": (True, False), "g1": (True, False),
-        "a2": (True, False), "f2": (True, False), "g2": (True, False),
-        "phase1": (False, False), "phase2": (False, False),
-        "perturb_scale": (False, False),
-        "perturb_decay": (False, False),
-    },
-    "exponential_relaxation": {
-        "q_start": (True, False),
-        "q_end": (True, False),
-        "tau_s": (True, False),
-    },
-    "trended_random_walk": {
-        "step_std": (True, False),
-        "drift_per_s": (True, False),
-    },
-}
-KINDS = tuple(_SCHEMAS)
+def _smoothed_unit_noise(rng, n: int, width: int) -> np.ndarray:
+    """White noise through a centered moving average, rescaled to unit std."""
+    raw = rng.normal(size=n + width - 1)
+    kernel = np.full(width, 1.0 / width)
+    out = np.convolve(raw, kernel, mode="valid")
+    sd = out.std()
+    return out / sd if sd > 0 else out
 
+
+def _with_noise(q, rng, noise_std):
+    return q + rng.normal(0.0, noise_std, size=q.size) if noise_std > 0 else q
+
+
+def _sinusoid_mixture(t, rate_hz, rng, *, amplitudes, frequencies_hz, phases=(), noise_std=0.0):
+    q = np.zeros(t.size)
+    # absent phases are all zero
+    for a, f, ph in itertools.zip_longest(amplitudes, frequencies_hz, phases, fillvalue=0.0):
+        q += a * np.sin(2.0 * np.pi * f * t + ph)
+    return _with_noise(q, rng, noise_std)
+
+
+def _sawtooth(t, rate_hz, rng, *, amplitude, frequency_hz, phase=0.0, noise_std=0.0):
+    cycles = frequency_hz * t + phase
+    return _with_noise(amplitude * (2.0 * (cycles - np.floor(cycles)) - 1.0), rng, noise_std)
+
+
+def _damped_oscillator(t, rate_hz, rng, *, amplitude, frequency_hz, damping_rate, phase=0.0):
+    omega = 2.0 * np.pi * frequency_hz
+    return amplitude * np.exp(-damping_rate * t) * np.cos(omega * t + phase)
+
+
+def _elastic_pendulum_proxy(t, rate_hz, rng, *, a1, f1, g1, a2, f2, g2,
+                            phase1=0.0, phase2=0.0, perturb_scale=0.0, perturb_decay=0.1):
+    q = a1 * np.exp(-g1 * t) * np.cos(2.0 * np.pi * f1 * t + phase1)
+    q = q + a2 * np.exp(-g2 * t) * np.cos(2.0 * np.pi * f2 * t + phase2)
+    if perturb_scale > 0:
+        # band-limit the perturbation to below the faster mode
+        width = max(3, int(round(rate_hz / (2.0 * max(f1, f2)))) | 1)
+        q = q + perturb_scale * np.exp(-perturb_decay * t) * _smoothed_unit_noise(rng, t.size, width)
+    return q
+
+
+def _exponential_relaxation(t, rate_hz, rng, *, q_start, q_end, tau_s):
+    if tau_s == 0.0:
+        return np.where(t > 0, q_end, q_start)
+    if math.isinf(tau_s):
+        return np.full(t.size, q_start)
+    return q_end + (q_start - q_end) * np.exp(-t / tau_s)
+
+
+def _trended_random_walk(t, rate_hz, rng, *, step_std, drift_per_s):
+    return np.cumsum(rng.normal(0.0, step_std, size=t.size)) + drift_per_s * t
+
+
+_GENERATORS = {g.__name__[1:]: g for g in (
+    _sinusoid_mixture, _sawtooth, _damped_oscillator,
+    _elastic_pendulum_proxy, _exponential_relaxation, _trended_random_walk,
+)}
+KINDS = tuple(_GENERATORS)
+# kind -> {parameter: default} in signature order; a required one has Parameter.empty
+_PARAMETERS = {
+    kind: {p.name: p.default for p in inspect.signature(g).parameters.values()
+           if p.kind is p.KEYWORD_ONLY}
+    for kind, g in _GENERATORS.items()
+}
+
+_LIST_KEYS = ("amplitudes", "frequencies_hz", "phases")
 _FREQUENCY_KEYS = ("frequencies_hz", "frequency_hz", "f1", "f2")
 _NON_NEGATIVE_KEYS = ("damping_rate", "g1", "g2", "tau_s", "noise_std",
                       "perturb_scale", "perturb_decay", "step_std")
+
+
+def _floats(name: str, value):
+    """A parameter as floats: a list for list-valued keys, else one float."""
+    return [float(x) for x in value] if name in _LIST_KEYS else float(value)
 
 
 @dataclass(frozen=True)
@@ -97,37 +140,30 @@ class PhenomenonSpec:
             raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
         if not self.rate_hz > 0:
             raise ConfigError(f"rate_hz must be positive, got {self.rate_hz}")
-        schema = _SCHEMAS[self.kind]
+        schema = _PARAMETERS[self.kind]
         for name in self.params:
             if name not in schema:
                 raise ConfigError(f"{self.kind}: unknown parameter {name!r}")
-        for name, (required, is_list) in schema.items():
+        for name, default in schema.items():
             if name not in self.params:
-                if required:
+                if default is inspect.Parameter.empty:
                     raise ConfigError(f"{self.kind}: missing parameter {name!r}")
                 continue
             value = self.params[name]
-            if is_list:
-                if not isinstance(value, (list, tuple)) or not value:
-                    raise ConfigError(f"{self.kind}: {name} must be a non-empty list")
-                floats = [float(x) for x in value]
-            else:
-                floats = [float(value)]
-            if name in _FREQUENCY_KEYS:
-                for f in floats:
-                    if not f < self.rate_hz / 2:
-                        raise ConfigError(
-                            f"{self.kind}: {name}={f:g} violates Nyquist at rate {self.rate_hz:g} Hz"
-                        )
-            if name in _NON_NEGATIVE_KEYS:
-                for f in floats:
-                    if f < 0:
-                        raise ConfigError(f"{self.kind}: {name} must be non-negative, got {f:g}")
-        lists = [n for n, (_, is_list) in schema.items() if is_list and n in self.params]
-        if len(lists) > 1:
-            lengths = {n: len(self.params[n]) for n in lists}
-            if len(set(lengths.values())) > 1:
-                raise ConfigError(f"{self.kind}: list parameters differ in length: {lengths}")
+            is_list = name in _LIST_KEYS
+            if is_list and (not isinstance(value, (list, tuple)) or not value):
+                raise ConfigError(f"{self.kind}: {name} must be a non-empty list")
+            floats = _floats(name, value)
+            for f in floats if is_list else [floats]:
+                if name in _FREQUENCY_KEYS and not f < self.rate_hz / 2:
+                    raise ConfigError(
+                        f"{self.kind}: {name}={f:g} violates Nyquist at rate {self.rate_hz:g} Hz"
+                    )
+                if name in _NON_NEGATIVE_KEYS and f < 0:
+                    raise ConfigError(f"{self.kind}: {name} must be non-negative, got {f:g}")
+        lengths = {n: len(self.params[n]) for n in schema if n in _LIST_KEYS and n in self.params}
+        if len(set(lengths.values())) > 1:
+            raise ConfigError(f"{self.kind}: list parameters differ in length: {lengths}")
 
     @property
     def n_samples(self) -> int:
@@ -161,26 +197,11 @@ class SensorModel:
 
     @property
     def is_identity(self) -> bool:
-        return (
-            self.gain == 1.0
-            and self.offset == 0.0
-            and self.noise_std == 0.0
-            and self.quantization_bits is None
-            and self.clip_range is None
-        )
+        return self == SensorModel()
 
 
 # ---------------------------------------------------------------------------
 # quantity generation
-
-
-def _smoothed_unit_noise(rng, n: int, width: int) -> np.ndarray:
-    """White noise through a centered moving average, rescaled to unit std."""
-    raw = rng.normal(size=n + width - 1)
-    kernel = np.full(width, 1.0 / width)
-    out = np.convolve(raw, kernel, mode="valid")
-    sd = out.std()
-    return out / sd if sd > 0 else out
 
 
 def generate_quantity(spec: PhenomenonSpec) -> TimeSeries:
@@ -191,66 +212,8 @@ def generate_quantity(spec: PhenomenonSpec) -> TimeSeries:
             f"duration {spec.duration_s:g}s at {spec.rate_hz:g} Hz yields no samples"
         )
     t = np.arange(n, dtype=np.float64) / spec.rate_hz
-    p = spec.params
-    rng = np.random.default_rng(spec.seed)
-
-    if spec.kind == "sinusoid_mixture":
-        amps = [float(a) for a in p["amplitudes"]]
-        freqs = [float(f) for f in p["frequencies_hz"]]
-        phases = [float(x) for x in p.get("phases", [0.0] * len(amps))]
-        q = np.zeros(n)
-        for a, f, ph in zip(amps, freqs, phases):
-            q += a * np.sin(2.0 * np.pi * f * t + ph)
-        noise = float(p.get("noise_std", 0.0))
-        if noise > 0:
-            q = q + rng.normal(0.0, noise, size=n)
-
-    elif spec.kind == "sawtooth":
-        cycles = float(p["frequency_hz"]) * t + float(p.get("phase", 0.0))
-        q = float(p["amplitude"]) * (2.0 * (cycles - np.floor(cycles)) - 1.0)
-        noise = float(p.get("noise_std", 0.0))
-        if noise > 0:
-            q = q + rng.normal(0.0, noise, size=n)
-
-    elif spec.kind == "damped_oscillator":
-        omega = 2.0 * np.pi * float(p["frequency_hz"])
-        q = (
-            float(p["amplitude"])
-            * np.exp(-float(p["damping_rate"]) * t)
-            * np.cos(omega * t + float(p.get("phase", 0.0)))
-        )
-
-    elif spec.kind == "elastic_pendulum_proxy":
-        q = float(p["a1"]) * np.exp(-float(p["g1"]) * t) * np.cos(
-            2.0 * np.pi * float(p["f1"]) * t + float(p.get("phase1", 0.0))
-        )
-        q = q + float(p["a2"]) * np.exp(-float(p["g2"]) * t) * np.cos(
-            2.0 * np.pi * float(p["f2"]) * t + float(p.get("phase2", 0.0))
-        )
-        scale = float(p.get("perturb_scale", 0.0))
-        if scale > 0:
-            # band-limit the perturbation to below the faster mode
-            f_hi = max(float(p["f1"]), float(p["f2"]))
-            width = max(3, int(round(spec.rate_hz / (2.0 * f_hi))) | 1)
-            decay = float(p.get("perturb_decay", 0.1))
-            q = q + scale * np.exp(-decay * t) * _smoothed_unit_noise(rng, n, width)
-
-    elif spec.kind == "exponential_relaxation":
-        q0 = float(p["q_start"])
-        q1 = float(p["q_end"])
-        tau = float(p["tau_s"])
-        if tau == 0.0:
-            q = np.full(n, q1)
-            q[0] = q0
-        elif math.isinf(tau):
-            q = np.full(n, q0)
-        else:
-            q = q1 + (q0 - q1) * np.exp(-t / tau)
-
-    else:  # trended_random_walk
-        steps = rng.normal(0.0, float(p["step_std"]), size=n)
-        q = np.cumsum(steps) + float(p["drift_per_s"]) * t
-
+    params = {name: _floats(name, value) for name, value in spec.params.items()}
+    q = _GENERATORS[spec.kind](t, spec.rate_hz, np.random.default_rng(spec.seed), **params)
     return TimeSeries(
         id=f"{spec.kind}:{spec.seed}",
         values=q,
@@ -323,15 +286,13 @@ class ManifestRecord:
             raise ConfigError(f"malformed manifest line: {line!r}")
         kind = tokens[0]
         params = {}
-        seed = None
         for tok in tokens[1:]:
-            if "=" not in tok:
-                raise ConfigError(f"malformed manifest token {tok!r}")
-            key, _, raw = tok.partition("=")
-            if key == "seed":
-                seed = int(raw)
-            else:
-                params[key] = _parse_value(raw)
+            key, _, raw = tok.partition("=")  # no "=" leaves raw empty, which never parses
+            try:
+                params[key] = int(raw) if key == "seed" else _parse_value(key, raw)
+            except ValueError:
+                raise ConfigError(f"malformed manifest token {tok!r}") from None
+        seed = params.pop("seed", None)
         if seed is None:
             raise ConfigError(f"manifest line missing seed: {line!r}")
         return cls(kind=kind, params=params, seed=seed)
@@ -340,13 +301,11 @@ class ManifestRecord:
 def _fmt_value(v) -> str:
     if isinstance(v, (list, tuple)):
         return ",".join(repr(float(x)) for x in v)
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
-def _parse_value(raw: str):
-    if "," in raw:
+def _parse_value(key: str, raw: str):
+    if key in _LIST_KEYS:
         return [float(x) for x in raw.split(",")]
     try:
         return int(raw)
@@ -396,16 +355,22 @@ def realize_variant(entry: CorpusEntry, variant_seed: int, tag: str) -> tuple:
 def series_from_record(record: ManifestRecord) -> TimeSeries:
     """Regenerate one series from its manifest record, bitwise."""
     p = dict(record.params)
-    duration_s = float(p.pop("duration_s"))
-    rate_hz = float(p.pop("rate_hz"))
+
+    def take(key):
+        if key not in p:
+            raise ConfigError(f"manifest record {record.kind} seed={record.seed}: missing {key!r}")
+        return float(p.pop(key))
+
+    duration_s = take("duration_s")
+    rate_hz = take("rate_hz")
     bits = p.pop("sensor.quantization_bits", None)
     clip = None
     if "sensor.clip_lo" in p:
-        clip = (float(p.pop("sensor.clip_lo")), float(p.pop("sensor.clip_hi")))
+        clip = (take("sensor.clip_lo"), take("sensor.clip_hi"))
     sensor = SensorModel(
-        gain=float(p.pop("sensor.gain")),
-        offset=float(p.pop("sensor.offset")),
-        noise_std=float(p.pop("sensor.noise_std")),
+        gain=take("sensor.gain"),
+        offset=take("sensor.offset"),
+        noise_std=take("sensor.noise_std"),
         quantization_bits=int(bits) if bits is not None else None,
         clip_range=clip,
     )

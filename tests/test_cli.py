@@ -316,6 +316,36 @@ class TestFailureExits:
         assert "cannot read" in capsys.readouterr().err
 
 
+def _edit_token(line, key, raw):
+    """The manifest line with ``key``'s token dropped (raw None) or set to ``raw``."""
+    tokens = [t for t in line.split() if t.partition("=")[0] != key]
+    return " ".join(tokens if raw is None else tokens + [f"{key}={raw}"])
+
+
+class TestMalformedManifestExits:
+    @pytest.mark.parametrize("key, raw, named", [
+        ("sensor.gain", None, "'sensor.gain'"),
+        ("duration_s", None, "'duration_s'"),
+        ("rate_hz", None, "'rate_hz'"),
+        ("amplitude", "abc", "'amplitude=abc'"),
+        ("seed", "x5", "'seed=x5'"),
+        ("duration_s", "1.0,2.0", "'duration_s=1.0,2.0'"),
+        ("amplitude", "0.5,0.6", "'amplitude=0.5,0.6'"),
+    ])
+    def test_one_error_line_and_exit_one(self, cfg_file, corpus, tmp_path, capsys,
+                                         key, raw, named):
+        lines = (corpus / "corpus.manifest").read_text().splitlines()
+        sawtooth = next(line for line in lines if line.startswith("sawtooth "))
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(_edit_token(sawtooth, key, raw) + "\n", encoding="utf-8")
+        argv = ["pretrain", "--config", str(cfg_file), "--data", str(manifest),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
+
 @pytest.fixture(scope="module")
 def overflowing(pre, tmp_path_factory):
     """The pretrained checkpoint with one finite weight large enough to overflow."""

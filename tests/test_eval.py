@@ -26,7 +26,6 @@ from patchcast.eval import (
     SplitSpec,
     WindowScore,
     baseline_persistence,
-    config_fingerprint,
     evaluate_zero_shot,
     percent_delta,
     select_best_snapshot,
@@ -113,7 +112,7 @@ class TestReportInvariants:
                 dataset="d", task="forecast", variant="zero_shot",
                 window=16, horizon=4, stride=8, series_length=28,
                 per_window=wins, mean_mse=1.9, persistence_mse=0.0,
-                mean_baseline_mse=0.0, config_fingerprint="x",
+                mean_baseline_mse=0.0,
             )
 
     def test_window_count_must_match_formula(self):
@@ -123,7 +122,7 @@ class TestReportInvariants:
                 dataset="d", task="forecast", variant="zero_shot",
                 window=16, horizon=4, stride=8, series_length=36,
                 per_window=wins, mean_mse=1.0, persistence_mse=0.0,
-                mean_baseline_mse=0.0, config_fingerprint="x",
+                mean_baseline_mse=0.0,
             )
 
     def test_task_and_variant_vocabulary(self):
@@ -131,17 +130,11 @@ class TestReportInvariants:
         kw = dict(
             window=16, horizon=4, stride=8, series_length=28, per_window=wins,
             mean_mse=1.0, persistence_mse=0.0, mean_baseline_mse=0.0,
-            config_fingerprint="x",
         )
         with pytest.raises(ConfigError):
             EvalReport(dataset="d", task="predict", variant="zero_shot", **kw)
         with pytest.raises(ConfigError):
             EvalReport(dataset="d", task="forecast", variant="best", **kw)
-
-    def test_fingerprint_stable_and_config_sensitive(self):
-        a = config_fingerprint(ModelConfig(**SMALL))
-        assert a == config_fingerprint(ModelConfig(**SMALL))
-        assert a != config_fingerprint(ModelConfig(**{**SMALL, "d_model": 32}))
 
 
 class TestBaselines:
@@ -185,7 +178,6 @@ class TestZeroShot:
         assert np.isfinite(rep.mean_mse)
         assert rep.dataset == series.id
         assert rep.variant == "zero_shot"
-        assert rep.config_fingerprint == config_fingerprint(model.config)
 
     def test_no_parameter_mutation(self, model, series):
         before = {n: p.data.copy() for n, p in model.named_parameters().items()}

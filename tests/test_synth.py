@@ -7,6 +7,7 @@ from patchcast.data import TimeSeries
 from patchcast.errors import ConfigError
 from patchcast.synth import (
     HELD_OUT_KINDS,
+    KINDS,
     CorpusEntry,
     ManifestRecord,
     PhenomenonSpec,
@@ -81,6 +82,78 @@ class TestSpecValidation:
             "damped_oscillator", 19360 / 208.0, 208.0,
             {"amplitude": 1.0, "frequency_hz": 1.36, "damping_rate": 0.03},
         ).n_samples == 19360
+
+
+# Each kind's schema: required name -> a valid value, and optional name ->
+# (the value an absent parameter takes, a value that changes the output).
+# Every optional name is set to its changing value while another one is
+# checked, so a default that only matters next to another parameter (the
+# pendulum's perturb_decay beside perturb_scale) is still exercised.
+SCHEMA_TABLE = {
+    "sinusoid_mixture": (
+        {"amplitudes": [1.0, 0.5], "frequencies_hz": [1.0, 3.0]},
+        {"phases": ([0.0, 0.0], [0.3, 1.2]), "noise_std": (0.0, 0.02)},
+    ),
+    "sawtooth": (
+        {"amplitude": 0.8, "frequency_hz": 1.5},
+        {"phase": (0.0, 0.25), "noise_std": (0.0, 0.02)},
+    ),
+    "damped_oscillator": (
+        {"amplitude": 1.0, "frequency_hz": 2.0, "damping_rate": 0.1},
+        {"phase": (0.0, 0.4)},
+    ),
+    "elastic_pendulum_proxy": (
+        {"a1": 1.0, "f1": 1.0, "g1": 0.1, "a2": 0.5, "f2": 3.0, "g2": 0.2},
+        {"phase1": (0.0, 0.7), "phase2": (0.0, 2.1),
+         "perturb_scale": (0.0, 0.2), "perturb_decay": (0.1, 0.3)},
+    ),
+    "exponential_relaxation": (
+        {"q_start": 1.0, "q_end": 0.2, "tau_s": 1.5},
+        {},
+    ),
+    "trended_random_walk": (
+        {"step_std": 0.01, "drift_per_s": 0.3},
+        {},
+    ),
+}
+
+
+def schema_spec(kind, params):
+    return PhenomenonSpec(kind, 4.0, 32.0, params, seed=7)
+
+
+class TestKindSchemas:
+    def test_table_covers_every_kind(self):
+        assert set(SCHEMA_TABLE) == set(KINDS)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_required_name_is_named_when_missing(self, kind):
+        required, _ = SCHEMA_TABLE[kind]
+        for name in required:
+            params = {k: v for k, v in required.items() if k != name}
+            with pytest.raises(ConfigError, match=f"missing parameter '{name}'"):
+                schema_spec(kind, params)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("name", ["wobble", "t", "rate_hz", "rng"])
+    def test_unknown_and_generator_argument_names_rejected(self, kind, name):
+        required, _ = SCHEMA_TABLE[kind]
+        with pytest.raises(ConfigError, match=f"unknown parameter '{name}'"):
+            schema_spec(kind, {**required, name: 1.0})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_absent_optional_equals_its_default(self, kind):
+        required, optional = SCHEMA_TABLE[kind]
+        active = {k: changed for k, (_, changed) in optional.items()}
+        for name, (default, changed) in optional.items():
+            others = {k: v for k, v in active.items() if k != name}
+            absent = generate_quantity(schema_spec(kind, {**required, **others})).values
+            explicit = generate_quantity(
+                schema_spec(kind, {**required, **others, name: default})).values
+            moved = generate_quantity(
+                schema_spec(kind, {**required, **others, name: changed})).values
+            assert np.array_equal(absent, explicit), name
+            assert not np.array_equal(absent, moved), name
 
 
 class TestGenerateQuantity:
@@ -298,6 +371,16 @@ class TestCorpus:
             ManifestRecord.from_line("sawtooth amplitude=1.0")  # no seed
         with pytest.raises(ConfigError):
             ManifestRecord.from_line("seed=3")
+        with pytest.raises(ConfigError, match="'amplitude'"):
+            ManifestRecord.from_line("sawtooth amplitude seed=3")
+
+    def test_one_component_mixture_roundtrips(self):
+        entry = CorpusEntry("sinusoid_mixture", 2.0, 32.0,
+                            {"amplitudes": [0.8], "frequencies_hz": [(1.0, 3.0)]})
+        pool, manifest = build_corpus([entry], seed=3)
+        back = ManifestRecord.from_line(manifest[0].to_line())
+        assert back == manifest[0]
+        assert np.array_equal(series_from_record(back).values, pool[0].values)
 
 
 class TestHeldoutSeries:
