@@ -179,6 +179,8 @@ def _load_pool(data_arg, rc):
         if path.is_dir():
             path = path / "corpus.manifest"
         records = read_manifest(path)
+        if not records:
+            raise DataError(f"manifest {path} lists no series")
         return [series_from_record(r) for r in records]
     recipe = default_pretrain_recipe(variants_per_entry=rc.synth.variants_per_entry)
     pool, _ = build_corpus(recipe, seed=rc.synth.seed)

@@ -67,16 +67,17 @@ class CheckpointCorruptError(CheckpointError):
 
 
 class TrainingDiverged(PatchcastError):
-    """Training produced a non-finite loss.
+    """Training produced a non-finite loss, decoder output or gradient.
 
-    Carries the last parameter set whose loss was observed finite, so callers
-    can still persist a usable checkpoint.
+    ``step`` is the failing step and ``curve`` the records of the steps
+    before it.  The model still holds the parameters the failing step started
+    from: nothing is written before the gradients are checked.  In train mode
+    its batch-norm statistics already include that step's update.
     """
 
-    def __init__(self, message, step, last_finite_params=None, curve=None):
+    def __init__(self, message, step, curve=None):
         super().__init__(message)
         self.step = step
-        self.last_finite_params = last_finite_params
         self.curve = curve if curve is not None else []
 
 

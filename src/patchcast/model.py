@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .numerics import NormState, Tensor, tile
+from .numerics import NormState, Tensor, all_finite, tile
 from .numerics.ops import NORM_KINDS, forward_ops, inverse_std
 from .numerics.tensor import FLOAT_DTYPES
 
@@ -244,10 +244,10 @@ class Model:
     def named_running_stats(self) -> dict:
         return dict(self.norm_states)
 
-    def named_stats(self, buf: Optional[np.ndarray] = None) -> dict:
-        """Views of ``buf`` (default ``stats``) under the :func:`stat_spec` names."""
+    def named_stats(self) -> dict:
+        """Views of ``stats`` under the :func:`stat_spec` names."""
         frame = _frame(self.config)
-        return dict(zip(frame.stat_names, tile(self.stats if buf is None else buf, frame.stat_shapes)))
+        return dict(zip(frame.stat_names, tile(self.stats, frame.stat_shapes)))
 
     def _head(self, role: str) -> DecoderParams:
         p = f"dec_{role}."
@@ -422,7 +422,7 @@ def _decode(z, params: DecoderParams, role: str, taps: Optional[dict]) -> Tensor
     if single:
         out = ops.reshape(out, (out.shape[1],))
     out = ops.tensor(out)
-    if not np.isfinite(out.data).all():
+    if not all_finite(out.data):
         raise NumericError(f"non-finite values in the {role} decoder's output")
     return out
 

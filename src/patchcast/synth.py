@@ -153,7 +153,10 @@ class PhenomenonSpec:
             is_list = name in _LIST_KEYS
             if is_list and (not isinstance(value, (list, tuple)) or not value):
                 raise ConfigError(f"{self.kind}: {name} must be a non-empty list")
-            floats = _floats(name, value)
+            try:
+                floats = _floats(name, value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{self.kind}: {name} must be numeric, got {value!r}") from exc
             for f in floats if is_list else [floats]:
                 if name in _FREQUENCY_KEYS and not f < self.rate_hz / 2:
                     raise ConfigError(

@@ -17,16 +17,17 @@ The trainable set is one flat buffer: the model's whole arena for pretrain
 and target training, the contiguous ``dec_{head}.`` slice of it for a
 finetune.  The optimizer updates that buffer in one blocked pass, and while
 the loop runs the reverse sweep writes each trainable gradient straight into
-the optimizer's matching gradient buffer.  The salvage copy the loop keeps for
-:class:`TrainingDiverged` is two flat copies, of the trainable buffer and of
-``Model.stats``, into buffers allocated once; each eval snapshot is two such
-copies into fresh buffers.  Both are handed out as name -> view dicts that
-``restore_snapshot`` writes back.
+the optimizer's matching gradient buffer.  Finetuning and target training
+keep a :class:`Snapshot` every ``eval_every`` steps for
+``select_best_snapshot``: two flat copies, of the trainable buffer and of
+``Model.stats``.  Pretraining has no caller that selects among them, so it
+keeps none, and a training step holds no copy of the model.
 
 A step is checked for NaN/Inf at its boundaries, not after every op: the
 decoder outputs (see ``model._decode``), the loss, and the gradient buffer,
 which ``adamw_step`` scans before it writes anything.  Any of them raises
-:class:`TrainingDiverged` with the step's parameters and moments untouched.
+:class:`TrainingDiverged` before any write, so the model keeps the parameters
+the step started from; in train mode its statistics include the step's update.
 
 Checkpoints are a little-endian binary format: magic ``OMGA``, a version
 word, the model config as key=value text, named float32 tensors (parameters
@@ -102,7 +103,6 @@ from .numerics import (
     backward,
     mse,
     scale,
-    tile,
     zero_grads,
 )
 
@@ -154,26 +154,32 @@ class LossRecord:
     reconstruct_mse: float
 
 
+class Snapshot(NamedTuple):
+    """Flat copies of an arena's trainable slice and of ``Model.stats``; the
+    statistics ride along even when frozen, so a snapshot restores on its own."""
+
+    offset: int  # the trainable slice's first element in the arena
+    params: np.ndarray
+    stats: np.ndarray
+
+
 @dataclass
 class TrainResult:
     model: Model
     curve: list  # of LossRecord
-    snapshots: list  # of (step, {name: ndarray}) for the trainable set
+    snapshots: list  # of (step, Snapshot); empty for pretraining
 
 
-def restore_snapshot(model: Model, snapshot: dict) -> None:
-    """Write a snapshot back into the matching parameters and statistics."""
-    stats = None  # the statistics views, built once a snapshot names one
-    for name, values in snapshot.items():
-        param = model.params.get(name)
-        if param is not None:
-            param.data[...] = values
-            continue
-        if stats is None:
-            stats = model.named_stats()
-        if name not in stats:
-            raise ConfigError(f"snapshot names unknown tensor {name!r}")
-        stats[name][...] = values
+def restore_snapshot(model: Model, snapshot: Snapshot) -> None:
+    """Write a snapshot back into the model's arena slice and statistics."""
+    lo, params, stats = snapshot
+    if lo < 0 or lo + params.size > model.arena.size or stats.shape != model.stats.shape:
+        raise ConfigError(
+            f"snapshot of {params.size} parameters at offset {lo} and {stats.size} "
+            f"statistics does not fit a model of {model.arena.size} and {model.stats.size}"
+        )
+    np.copyto(model.arena[lo : lo + params.size], params)
+    np.copyto(model.stats, stats)
 
 
 def clone_model(model: Model) -> Model:
@@ -203,23 +209,8 @@ def _run_loop(
     wf, wr = cfg.loss_weight_forecast, cfg.loss_weight_reconstruct
     curve: list = []
     snapshots: list = []
-    last_finite: Optional[tuple] = None  # reused every step
-    shapes = [p.shape for p in trainable.values()]
-
-    # Statistics ride along even when the encoder is frozen (they are then
-    # constant), so a snapshot is always restorable on its own.
-    def take(out: Optional[tuple] = None) -> tuple:
-        """Flat copies of the trainable buffer and the statistics, into ``out`` if given."""
-        if out is None:
-            return opt.flat.copy(), model.stats.copy()
-        np.copyto(out[0], opt.flat)
-        np.copyto(out[1], model.stats)
-        return out
-
-    def views(copies: tuple) -> dict:
-        named = dict(zip(trainable, tile(copies[0], shapes)))
-        named.update(model.named_stats(copies[1]))
-        return named
+    keep_snapshots = cfg.target_mode != "pretrain"  # no pretrain caller selects among them
+    offset = (opt.flat.ctypes.data - model.arena.ctypes.data) // model.arena.itemsize
 
     def head_loss(name, z, batch):
         if name == "forecast":
@@ -253,23 +244,18 @@ def _run_loop(
             f_v, r_v, t_v = f_loss.item(), r_loss.item(), total.item()
             if not np.isfinite(t_v):
                 raise NumericError(f"non-finite loss at step {step}")
-            last_finite = take(last_finite)
             backward(tape, total)
             adamw_step(trainable, opt)  # scans the gradients before it writes
         except NumericError as exc:
-            # non-finite values anywhere in the step mean the run is lost;
-            # hand back the last parameters that still produced a finite loss
+            # non-finite values anywhere in the step mean the run is lost; the
+            # model keeps the parameters this step started from
             raise TrainingDiverged(
-                f"training diverged at step {step}: {exc}",
-                step=step,
-                last_finite_params=None if last_finite is None else views(last_finite),
-                curve=curve,
+                f"training diverged at step {step}: {exc}", step=step, curve=curve
             ) from exc
         zero_grads(trainable)
         curve.append(LossRecord(step, t_v, f_v, r_v))
-        if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
-            if not snapshots or snapshots[-1][0] != step:
-                snapshots.append((step, views(take())))
+        if keep_snapshots and ((step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1):
+            snapshots.append((step, Snapshot(offset, opt.flat.copy(), model.stats.copy())))
         if (step + 1) % max(1, cfg.steps // 10) == 0:
             log.info("step %d/%d loss %.6f", step + 1, cfg.steps, t_v)
     for p in trainable.values():

@@ -345,6 +345,15 @@ class TestMalformedManifestExits:
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
 
+    def test_empty_manifest_is_named(self, cfg_file, tmp_path, capsys):
+        manifest = tmp_path / "empty.manifest"
+        manifest.write_text("\n", encoding="utf-8")
+        argv = ["pretrain", "--config", str(cfg_file), "--data", str(manifest),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: manifest {manifest} lists no series\n"
+
 
 @pytest.fixture(scope="module")
 def overflowing(pre, tmp_path_factory):

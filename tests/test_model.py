@@ -4,7 +4,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from patchcast.errors import ConfigError, ContractError, DegenerateBatchError, ShapeError
+from patchcast.errors import (
+    ConfigError,
+    ContractError,
+    DegenerateBatchError,
+    NumericError,
+    ShapeError,
+)
 from patchcast.model import (
     DecoderParams,
     Model,
@@ -307,6 +313,18 @@ class TestDecoders:
         with pytest.raises(ShapeError):
             decode_forecast(np.zeros(9, np.float32), m.forecast)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("role", ["forecast", "reconstruct"])
+    def test_non_finite_output_raises(self, bad, role):
+        _, m = self.make()
+        head = getattr(m, role)
+        head.b2.data[-1] = bad  # reaches the output unchanged
+        zs = np.random.default_rng(2).normal(size=(3, 8)).astype(np.float32)
+        decode = decode_forecast if role == "forecast" else decode_reconstruct
+        for z in (zs, zs[0]):
+            with pytest.raises(NumericError, match=role):
+                decode(z, head)
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("norm_kind", ["layer", "batch"])
@@ -390,13 +408,13 @@ class TestUntapedPath:
             encode(rand_patches(cfg), m, mode="infer")
 
     def test_infer_reads_the_current_statistics(self):
-        from patchcast.train import clone_model, restore_snapshot
+        from patchcast.train import Snapshot, clone_model, restore_snapshot
 
         cfg = tiny(norm_kind="batch", seed=1)
         m = init_params(cfg)
         x = rand_patches(cfg, seed=4)
         before = encode(x, m, mode="infer")[1].data
-        snapshot = m.named_stats(m.stats.copy())
+        snapshot = Snapshot(0, m.arena.copy(), m.stats.copy())
         encode(rand_patches(cfg, batch=4, seed=5), m, mode="train")
         moved = encode(x, m, mode="infer")[1].data
         assert not np.array_equal(moved, before)

@@ -72,6 +72,18 @@ class TestSpecValidation:
             PhenomenonSpec("sinusoid_mixture", 1.0, 32.0,
                            {"amplitudes": [1.0], "frequencies_hz": [1.0, 2.0]})
 
+    @pytest.mark.parametrize("kind, params, named", [
+        ("damped_oscillator",
+         {"amplitude": "abc", "frequency_hz": 1.0, "damping_rate": 0.0}, "amplitude"),
+        ("damped_oscillator",
+         {"amplitude": [1.0, 2.0], "frequency_hz": 1.0, "damping_rate": 0.0}, "amplitude"),
+        ("sinusoid_mixture",
+         {"amplitudes": [1.0, "x"], "frequencies_hz": [1.0, 2.0]}, "amplitudes"),
+    ])
+    def test_non_numeric_parameter_named(self, kind, params, named):
+        with pytest.raises(ConfigError, match=rf"^{kind}: {named} must be numeric"):
+            PhenomenonSpec(kind, 1.0, 32.0, params)
+
     def test_nonpositive_duration(self):
         with pytest.raises(ConfigError, match="duration_s"):
             osc(0.0, 8.0, 1.0)

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from patchcast.numerics import (
 from patchcast.selfcheck import clear_relu_kinks, dual_loss_setup
 from patchcast.synth import PhenomenonSpec, generate_quantity
 from patchcast.train import (
+    Snapshot,
     TrainConfig,
     clone_model,
     finetune,
@@ -165,24 +167,67 @@ class TestLoop:
         last = np.mean([r.total for r in res.curve[-10:]])
         assert last < first
 
-    def test_snapshot_cadence_and_restore(self, pool):
-        res = pretrain(
-            pool, small_config(), TrainConfig(steps=25, batch_size=4, seed=3, eval_every=10)
-        )
+    def test_snapshot_cadence_and_restore(self, target):
+        cfg = TrainConfig(steps=25, batch_size=4, seed=3, eval_every=10, target_mode="target_train")
+        res = target_train(target, small_config(), cfg)
         assert [s for s, _ in res.snapshots] == [9, 19, 24]
-        # snapshots carry running statistics alongside parameters
-        step9 = dict(res.snapshots)[9]
-        assert any(k.endswith(".running_mean") for k in step9)
+        step9, final = dict(res.snapshots)[9], dict(res.snapshots)[24]
+        # the whole arena trains, and the running statistics ride along
+        assert step9.offset == 0 and step9.params.shape == res.model.arena.shape
+        assert step9.stats.shape == res.model.stats.shape
+        assert not np.array_equal(step9.params, final.params)
+        assert not np.array_equal(step9.stats, final.stats)
         restore_snapshot(res.model, step9)
-        # the final snapshot differs from the mid-run one somewhere
-        assert any(
-            not np.array_equal(step9[k], dict(res.snapshots)[24][k]) for k in step9
-        )
+        assert res.model.arena.tobytes() == step9.params.tobytes()
+        assert res.model.stats.tobytes() == step9.stats.tobytes()
 
-    def test_restore_rejects_unknown_names(self, pool):
+    def test_pretraining_keeps_no_snapshots(self, pool):
+        res = pretrain(pool, small_config(), TrainConfig(steps=4, batch_size=4, seed=3, eval_every=1))
+        assert res.snapshots == []
+
+    @pytest.mark.parametrize("mode", ["finetune_forecast", "finetune_reconstruct"])
+    def test_finetune_snapshot_is_the_head_slice(self, pool, target, mode):
+        base = pretrain(pool, small_config(), TrainConfig(steps=3, batch_size=4, seed=3)).model
+        cfg = TrainConfig(steps=4, batch_size=4, seed=1, eval_every=2, target_mode=mode)
+        res = finetune(clone_model(base), target, cfg)
+        (_, first), (_, last) = res.snapshots
+        head = mode.removeprefix("finetune_")
+        views = [p.data for n, p in res.model.named_parameters().items() if n.startswith(f"dec_{head}.")]
+        lo = (views[0].ctypes.data - res.model.arena.ctypes.data) // res.model.arena.itemsize
+        assert first.offset == lo and first.params.size == sum(v.size for v in views)
+        assert res.model.arena[lo : lo + last.params.size].tobytes() == last.params.tobytes()
+        restore_snapshot(res.model, first)
+        assert res.model.arena[:lo].tobytes() == base.arena[:lo].tobytes()
+        assert res.model.arena[lo : lo + first.params.size].tobytes() == first.params.tobytes()
+        assert res.model.stats.tobytes() == base.stats.tobytes()
+
+    def test_restore_rejects_mismatched_snapshot(self):
         model = init_params(small_config())
-        with pytest.raises(ConfigError):
-            restore_snapshot(model, {"nonsense": np.zeros(3)})
+        arena, stats = model.arena.copy(), model.stats.copy()
+        n, k = model.arena.size, model.stats.size
+        for bad in (
+            Snapshot(0, np.zeros(n + 1, np.float32), np.zeros(k, np.float32)),
+            Snapshot(1, np.zeros(n, np.float32), np.zeros(k, np.float32)),
+            Snapshot(-1, np.zeros(3, np.float32), np.zeros(k, np.float32)),
+            Snapshot(0, np.zeros(n, np.float32), np.zeros(k - 1, np.float32)),
+        ):
+            with pytest.raises(ConfigError, match="does not fit"):
+                restore_snapshot(model, bad)
+        # a refused snapshot writes nothing
+        assert model.arena.tobytes() == arena.tobytes() and model.stats.tobytes() == stats.tobytes()
+
+    def test_pretraining_memory_does_not_grow_with_its_length(self, pool):
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                pretrain(pool, small_config(), TrainConfig(steps=steps, batch_size=4, seed=3, eval_every=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm the per-config caches outside the measurement
+        arena_bytes = init_params(small_config()).arena.nbytes
+        assert peak(16) - peak(4) < 2 * arena_bytes
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_is_reported_with_salvage(self, pool):
@@ -190,12 +235,8 @@ class TestLoop:
             pretrain(pool, small_config(), TrainConfig(steps=60, batch_size=4, lr=1e12, seed=3))
         exc = info.value
         assert 0 < exc.step < 60
-        assert isinstance(exc.last_finite_params, dict) and exc.last_finite_params
         assert len(exc.curve) == exc.step
         assert all(np.isfinite(r.total) for r in exc.curve)
-        # the salvage snapshot restores cleanly
-        model = init_params(small_config())
-        restore_snapshot(model, exc.last_finite_params)
 
     def test_nan_gradient_stops_the_step_before_any_write(self, pool, monkeypatch):
         built, before = [], []
@@ -227,8 +268,6 @@ class TestLoop:
         assert state.step == step == 2
         for live, copy in ((built[0].arena, flat), (state.m, m), (state.v, v)):
             assert np.array_equal(live.view(np.uint8), copy.view(np.uint8))
-        salvage = info.value.last_finite_params["layers.1.ff.w1"]
-        assert np.array_equal(salvage, built[0].named_parameters()["layers.1.ff.w1"].data)
 
 
 def reference_finetune(model, target, cfg):
@@ -415,6 +454,9 @@ class TestTapeCensus:
         assert self.ops_of(tape)["linear"] == 2
 
 
+TARGET_EVERY_2 = TrainConfig(steps=4, batch_size=4, seed=3, eval_every=2, target_mode="target_train")
+
+
 def assert_tiles_arena(model):
     """Every parameter is a view of the model's arena, back to back in spec order."""
     arena, params = model.arena, model.named_parameters()
@@ -436,7 +478,7 @@ class TestArena:
     @pytest.mark.parametrize(
         "made_by", ["init", "load", "clone", "pretrain", "finetune", "restore", "selfcheck"]
     )
-    def test_parameters_tile_the_arena(self, base, pool, target, tmp_path, made_by):
+    def test_parameters_tile_the_arena(self, base, target, tmp_path, made_by):
         if made_by == "init":
             model = init_params(small_config())
         elif made_by == "load":
@@ -450,7 +492,7 @@ class TestArena:
             cfg = TrainConfig(steps=3, batch_size=4, seed=1, target_mode="finetune_reconstruct")
             model = finetune(clone_model(base), target, cfg).model
         elif made_by == "restore":
-            res = pretrain(pool, small_config(), TrainConfig(steps=4, batch_size=4, seed=3, eval_every=2))
+            res = target_train(target, small_config(), TARGET_EVERY_2)
             restore_snapshot(res.model, res.snapshots[0][1])
             model = res.model
         else:
@@ -459,7 +501,7 @@ class TestArena:
             grad_check(lambda: forward()[0], model.named_parameters())
         assert_tiles_arena(model)
 
-    def test_copies_share_no_memory_with_the_source(self, base, pool, tmp_path):
+    def test_copies_share_no_memory_with_the_source(self, base, target, tmp_path):
         save_checkpoint(base, tmp_path / "m.omg")
         loaded, _ = load_checkpoint(tmp_path / "m.omg")
         for copy in (clone_model(base), loaded):
@@ -469,58 +511,25 @@ class TestArena:
                 assert not np.shares_memory(st.running_mean, src.running_mean), name
                 assert not np.shares_memory(st.running_var, src.running_var), name
 
-        res = pretrain(pool, small_config(), TrainConfig(steps=4, batch_size=4, seed=3, eval_every=2))
-        arrays = [res.model.arena] + [
-            a for st in res.model.named_running_stats().values()
-            for a in (st.running_mean, st.running_var)
-        ]
+        res = target_train(target, small_config(), TARGET_EVERY_2)
         (_, first), (_, second) = res.snapshots
-        for name, values in first.items():
-            assert not any(np.shares_memory(values, a) for a in arrays), name
-            assert not np.shares_memory(values, second[name]), name
+        for copy in (first.params, first.stats):
+            assert not any(np.shares_memory(copy, a) for a in (res.model.arena, res.model.stats))
+            assert not any(np.shares_memory(copy, a) for a in (second.params, second.stats))
 
-    def test_clone_and_snapshot_restore_bitwise(self, pool):
-        res = pretrain(pool, small_config(), TrainConfig(steps=4, batch_size=4, seed=3, eval_every=2))
+    def test_clone_and_snapshot_restore_bitwise(self, target):
+        res = target_train(target, small_config(), TARGET_EVERY_2)
         model = res.model
         twin = clone_model(model)
         for copy, src in ((twin.arena, model.arena), (twin.stats, model.stats)):
             assert not np.shares_memory(copy, src)
             assert copy.tobytes() == src.tobytes()
         _, snap = res.snapshots[0]
-        kept = {name: values.copy() for name, values in snap.items()}
-        for values in snap.values():
-            assert not np.shares_memory(values, model.arena)
-            assert not np.shares_memory(values, model.stats)
         model.arena.fill(np.nan)
         model.stats.fill(np.nan)
         restore_snapshot(model, snap)
-        live = train_mod._checkpoint_tensors(model)
-        assert set(live) == set(kept)
-        for name, values in live.items():
-            assert values.tobytes() == kept[name].tobytes(), name
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_last_finite_snapshot_shares_no_memory(self, pool, monkeypatch):
-        built = []
-        real_init = train_mod.init_params
-        monkeypatch.setattr(
-            train_mod, "init_params", lambda *a, **kw: built.append(real_init(*a, **kw)) or built[-1]
-        )
-        with pytest.raises(TrainingDiverged) as info:
-            pretrain(pool, small_config(), TrainConfig(steps=60, batch_size=4, lr=1e3, seed=3))
-        assert info.value.step > 2  # the salvage buffer was overwritten in place more than once
-        (model,) = built
-        live = [model.arena] + [
-            a for st in model.named_running_stats().values() for a in (st.running_mean, st.running_var)
-        ]
-        salvage = info.value.last_finite_params
-        assert set(salvage) == set(train_mod._checkpoint_tensors(model))
-        for name, values in salvage.items():
-            assert np.all(np.isfinite(values)), name
-            assert not any(np.shares_memory(values, a) for a in live), name
-        # it holds the last finite step's values, not the first step's
-        first = init_params(small_config()).named_parameters()["patch_proj.w"].data
-        assert not np.array_equal(salvage["patch_proj.w"], first)
+        assert model.arena.tobytes() == snap.params.tobytes()
+        assert model.stats.tobytes() == snap.stats.tobytes()
 
 
 class TestCurveCsv:
