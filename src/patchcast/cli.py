@@ -312,7 +312,7 @@ def cmd_trace(args) -> int:
     L = len(series.values)
     if L < W:
         raise DataError(f"series has {L} samples; the model needs a context of {W}")
-    horizon = getattr(args, "horizon", None) or mc.l_pred
+    horizon = rc.eval.horizon or mc.l_pred
     if not 1 <= horizon <= mc.l_pred:
         raise ConfigError(f"horizon must be in 1..{mc.l_pred} (the model's l_pred), got {horizon}")
 
@@ -389,7 +389,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # every non-finite value is caught at a boundary and raised as a typed
+        # error, so NumPy's overflow warnings on the way there are only noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -43,21 +43,25 @@ count, headers, step counter), of the arena or of ``stats``.  A save writes
 the whole file with ``os.writev`` into a temporary file that then replaces
 the target.  A load reads the magic, version, config length and config block
 with one ``os.pread`` of the file's first ``_HEAD`` bytes; a longer block,
-which no save writes, falls back to bounded reads.  A block that fits is
-parsed once and its config cached.  Before any per-layer work the file is
-checked against an O(1) lower bound on the bytes that config implies, so a
-corrupt config that implies an absurd model fails at once; then the file must
-be exactly as long as the config predicts.  One ``os.preadv`` reads the
-rest: headers and step into scratch, payloads straight into an uninitialised
-model's arena and ``stats`` views (its tensors adopt those views as is), so
-the data is copied once and no random numbers are drawn.  The headers are
-compared as bytes, and the arena and the statistics are each checked for
-NaN/Inf with one dot product (``all_finite``), which falls back to the exact
-scan only when the sum of squares is not finite.  Any mismatch hands the
-file to ``_diagnose``, which walks it field by field and raises the typed
-error naming what is wrong; it fills no model.  ``clone_model`` copies the
-arena and ``stats`` into such a model.  The I/O needs a POSIX host, and
-loading straight into native float32 arrays needs a little-endian one.
+which no save writes, takes one more ``os.pread`` once the file is known to
+hold it.  A block that fits is parsed once and its config cached.  Before any
+per-layer work the file is checked against an O(1) lower bound on the bytes
+that config implies, so a corrupt config that implies an absurd model fails
+at once; then the file must be exactly as long as the config predicts.  One
+``os.preadv`` reads the rest: headers and step into scratch, payloads
+straight into an uninitialised model's arena and ``stats`` views (its tensors
+adopt those views as is), so the data is copied once and no random numbers
+are drawn.  The headers are compared as bytes, and the arena and the
+statistics are each checked for NaN/Inf with one dot product
+(``all_finite``), which falls back to the exact scan only when the sum of
+squares is not finite.  Any mismatch hands the file to ``_refuse``, which
+follows the same plan, labels each field from the two specs and raises the
+typed error naming the first field that is cut short or whose header bytes
+differ; it fills no model, and no label is built for a file that loads.  A
+non-finite tensor is named from the same plan, in spec order.
+``clone_model`` copies the arena and ``stats`` into such a model.  The I/O
+needs a POSIX host, and loading straight into native float32 arrays needs a
+little-endian one.
 """
 
 from __future__ import annotations
@@ -327,12 +331,6 @@ def write_curve_csv(path, curve: Sequence[LossRecord]) -> None:
 # checkpoint format
 
 
-def _checkpoint_tensors(model: Model) -> dict:
-    tensors = {name: p.data for name, p in model.named_parameters().items()}
-    tensors.update(model.named_stats())
-    return tensors
-
-
 # a vectored read or write takes at most this many buffers per call
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
@@ -346,8 +344,6 @@ class _Layout(NamedTuple):
     """The checkpoint fields that follow from one model config."""
 
     head: bytes  # magic, version, config length and config block, as saved
-    names: tuple  # every record's tensor, in checkpoint order
-    shapes: tuple
     records: bytes  # the tensor count and every record header, back to back
     # Everything after the config block, in file order, as (source, first
     # byte, end byte): source 0 is a buffer holding ``records`` then the
@@ -359,15 +355,13 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _layout(config: ModelConfig) -> _Layout:
-    names, shapes, headers, plan = [], [], [], [(0, 0, 4)]
+    headers, plan = [], [(0, 0, 4)]
     at = 4  # the tensor count comes first in the records buffer
     for source, spec in enumerate((param_spec(config), stat_spec(config)), start=1):
         pos = 0
         for name, shape, _ in spec:
             enc = name.encode("utf-8")
             header = struct.pack(f"<H{len(enc)}sB{len(shape)}I", len(enc), enc, len(shape), *shape)
-            names.append(name)
-            shapes.append(shape)
             headers.append(header)
             plan += [(0, at, at + len(header)), (source, pos, pos + 4 * math.prod(shape))]
             at, pos = at + len(header), plan[-1][2]
@@ -379,8 +373,8 @@ def _layout(config: ModelConfig) -> _Layout:
         offset += size
     config_block = "".join(f"{k}={v}\n" for k, v in config.to_dict().items()).encode("utf-8")
     head = MAGIC + struct.pack("<II", FORMAT_VERSION, len(config_block)) + config_block
-    records = struct.pack("<I", len(names)) + b"".join(headers)
-    return _Layout(head, tuple(names), tuple(shapes), records, tuple(plan), tuple(reads), offset)
+    records = struct.pack("<I", len(headers)) + b"".join(headers)
+    return _Layout(head, records, tuple(plan), tuple(reads), offset)
 
 
 def _floats_floor(config: ModelConfig) -> int:
@@ -452,42 +446,13 @@ def save_checkpoint(model: Model, path, step: int = 0) -> None:
         raise
 
 
-class _Reader:
-    """Sequential reads from an open checkpoint, bounded by the file's size.
-
-    A field that would run past the end of the file means truncation; the
-    bound is checked before reading, so a garbled length never allocates.
-    """
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.left = os.fstat(fh.fileno()).st_size - fh.tell()  # bytes not read yet
-
-    def _claim(self, n: int, what: str) -> int:
-        if n > self.left:
-            raise CheckpointCorruptError(f"checkpoint truncated while reading {what}")
-        self.left -= n
-        return n
-
-    def take(self, n: int, what: str) -> bytes:
-        chunk = self.fh.read(self._claim(n, what))
-        if len(chunk) != n:  # the file shrank while it was read
-            raise CheckpointCorruptError(f"checkpoint truncated while reading {what}")
-        return chunk
-
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def skip(self, n: int, what: str) -> None:
-        self.fh.seek(self._claim(n, what), os.SEEK_CUR)
-
-
 def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
     """Read a checkpoint; returns (model, step).
 
-    Validates magic, version, and that the stored tensors enumerate exactly
-    the parameter-and-statistics set the embedded config implies, in spec
-    order, with matching shapes and finite values.  ``expect_config``
+    Validates magic, version, and that the file is exactly the one the
+    embedded config implies: its size, and every record header byte for
+    byte, so the tensors are the parameter-and-statistics set in spec order
+    with matching shapes; then that every value is finite.  ``expect_config``
     additionally pins the caller's geometry.  Each payload is read from the
     file straight into its arena or statistics view; since the file stores
     ``<f4`` and the arrays are native float32, this relies on a little-endian
@@ -510,8 +475,10 @@ def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
         if start <= len(head):
             config = _cached_config(head[_CONFIG_AT:start])
         else:  # a block longer than the head read, or a file that ends inside it
-            fh.seek(_CONFIG_AT)
-            config = _read_config(_Reader(fh).take(start - _CONFIG_AT, "config block"))
+            raw = os.pread(fd, start - _CONFIG_AT, _CONFIG_AT) if start <= size else b""
+            if len(raw) != start - _CONFIG_AT:
+                raise CheckpointCorruptError("checkpoint truncated while reading config block")
+            config = _read_config(raw)
         if expect_config is not None and config != expect_config:
             theirs, ours = config.to_dict(), expect_config.to_dict()
             diff = [k for k in ours if theirs.get(k) != ours[k]]
@@ -527,72 +494,58 @@ def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
 
         lay = _layout(config)
         if size - start != lay.records_size:
-            _diagnose(fh, start, lay)
+            _refuse(fd, start, size, config, lay)
         model = empty_model(config)
         scratch = bytearray(len(lay.records) + 8)  # the records, then the step counter
         buffers = _iovecs(lay, memoryview(scratch), model.arena, model.stats)
         for lo, hi, offset, n in lay.reads:
-            if os.preadv(fd, buffers[lo:hi], start + offset) != n:
-                _diagnose(fh, start, lay)  # the file shrank while it was read
+            if os.preadv(fd, buffers[lo:hi], start + offset) != n:  # the file shrank
+                _refuse(fd, start, os.fstat(fd).st_size, config, lay)
         if not scratch.startswith(lay.records):
-            _diagnose(fh, start, lay)
+            _refuse(fd, start, size, config, lay)
     if not (all_finite(model.arena) and all_finite(model.stats)):
-        bad = next(n for n, a in _checkpoint_tensors(model).items() if not np.isfinite(a).all())
-        raise CheckpointCorruptError(f"tensor {bad!r} holds non-finite values")
+        floats = (None, model.arena, model.stats)  # by plan source
+        specs = param_spec(config) + stat_spec(config)
+        for (name, _, _), (source, lo, hi) in zip(specs, lay.plan[2::2]):  # the payloads
+            if not np.isfinite(floats[source][lo // 4 : hi // 4]).all():
+                raise CheckpointCorruptError(f"tensor {name!r} holds non-finite values")
     return model, struct.unpack_from("<Q", scratch, len(lay.records))[0]
 
 
-def _diagnose(fh, start: int, lay: _Layout) -> NoReturn:
+def _refuse(fd: int, start: int, size: int, config: ModelConfig, lay: _Layout) -> NoReturn:
     """Raise the typed error for a record section the lean load refused.
 
-    Walks the file field by field from the tensor count at byte ``start``
-    and checks each field against ``lay``; reads no payload, fills no model.
+    Follows ``lay.plan`` from the tensor count at byte ``start`` of a file of
+    ``size`` bytes, naming each field from the two specs: the first field
+    that runs past the end of the file, else the first header (or the tensor
+    count) whose bytes differ from its slice of ``lay.records``.  Reads no
+    payload and fills no model.
     """
-    fh.seek(start)
-    r = _Reader(fh)
-    shapes = dict(zip(lay.names, lay.shapes))
-    (count,) = r.unpack("<I", "tensor count")
-    if count != len(lay.names):
-        raise CheckpointCorruptError(
-            f"checkpoint holds {count} tensors, config implies {len(lay.names)}"
-        )
-    seen = set()
-    for i in range(count):
-        (name_len,) = r.unpack("<H", "tensor name length")
-        name = _utf8(r.take(name_len, "tensor name"), "tensor name")
-        if name in seen:
-            raise CheckpointCorruptError(f"duplicate tensor {name!r}")
-        seen.add(name)
-        if name not in shapes:
-            raise CheckpointCorruptError(f"unexpected tensor {name!r}")
-        if name != lay.names[i]:
-            raise CheckpointCorruptError(
-                f"tensor {name!r} stored as record {i}, where spec order puts {lay.names[i]!r}"
-            )
-        (rank,) = r.unpack("<B", f"rank of {name}")
-        shape = tuple(r.unpack(f"<{rank}I", f"dims of {name}")) if rank else ()
-        if shape != shapes[name]:
-            raise CheckpointCorruptError(
-                f"tensor {name!r} has shape {shape}, config implies {shapes[name]}"
-            )
-        r.skip(4 * math.prod(shape), f"payload of {name}")
-    r.unpack("<Q", "step counter")
-    if r.left:
-        raise CheckpointCorruptError(f"{r.left} trailing bytes after the step counter")
+    labels = ["tensor count"]
+    for name, shape, _ in param_spec(config) + stat_spec(config):
+        labels += [f"header of {name} {shape}", f"payload of {name}"]
+    labels.append("step counter")
+    at = start
+    for label, (source, lo, hi) in zip(labels, lay.plan):
+        if at + hi - lo > size:
+            raise CheckpointCorruptError(f"checkpoint truncated while reading {label}")
+        header = source == 0 and hi <= len(lay.records)  # the step counter is not checked
+        if header and os.pread(fd, hi - lo, at) != lay.records[lo:hi]:
+            raise CheckpointCorruptError(f"{label} is not what the config implies")
+        at += hi - lo
+    if size > at:
+        raise CheckpointCorruptError(f"{size - at} trailing bytes after the step counter")
     raise CheckpointCorruptError("checkpoint changed while it was read")
-
-
-def _utf8(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointCorruptError(f"{what} is not valid UTF-8: {exc}") from exc
 
 
 def _read_config(raw: bytes) -> ModelConfig:
     """The embedded key=value config block, parsed and validated."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointCorruptError(f"config block is not valid UTF-8: {exc}") from exc
     config_dict = {}
-    for line in _utf8(raw, "config block").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue

@@ -1,7 +1,8 @@
-"""The checkpoint load path: the head read, the size floor, adopted views and
-the one-pass finiteness probe."""
+"""The checkpoint load path: the head read, the size floor, adopted views,
+the one-pass finiteness probe and the refusal that names a bad field."""
 
 import math
+import re
 import struct
 import warnings
 
@@ -142,3 +143,58 @@ class TestSizeFloor:
         config = ModelConfig(**kw)
         stats = sum(math.prod(shape) for _, shape, _ in stat_spec(config))
         assert train_mod._floats_floor(config) <= parameter_count(config) + stats
+
+
+def record_fields(config: ModelConfig) -> list:
+    """Every field after the config block as (label, first byte, end byte),
+    counted from the tensor count and derived from the two specs."""
+    fields, at = [("tensor count", 0, 4)], 4
+    for name, shape, _ in param_spec(config) + stat_spec(config):
+        header = at + 2 + len(name.encode()) + 1 + 4 * len(shape)  # name length, name, rank, dims
+        fields += [(f"header of {name} {shape}", at, header),
+                   (f"payload of {name}", header, header + 4 * math.prod(shape))]
+        at = fields[-1][2]
+    return fields + [("step counter", at, at + 8)]
+
+
+class TestRefusal:
+    """A file the load refuses raises the typed error naming the field it departs at."""
+
+    start = 12 + len(config_block(SMALL))  # the tensor count's byte
+
+    @pytest.fixture()
+    def blob(self, model, tmp_path):
+        blob = save(model, tmp_path / "m.omg").read_bytes()
+        assert len(blob) == self.start + record_fields(SMALL)[-1][2]
+        return blob
+
+    def refused(self, path, data: bytes, match: str):
+        path.write_bytes(data)
+        with pytest.raises(CheckpointCorruptError, match=match):
+            load_checkpoint(path)
+
+    def test_every_cut_names_its_field(self, blob, tmp_path):
+        # A cut that leaves fewer bytes than the size floor is refused by the
+        # floor, before the config's layout is built; every later cut is named.
+        floor = 4 * train_mod._floats_floor(SMALL)
+        cuts = [(label, cut) for label, lo, _ in record_fields(SMALL) for cut in (lo, lo + 1)]
+        for label, cut in cuts:
+            if cut < floor:
+                match = f"holds {cut} bytes after its config block, fewer than the {floor}"
+            else:
+                match = f"^checkpoint truncated while reading {re.escape(label)}$"
+            self.refused(tmp_path / "cut.omg", blob[: self.start + cut], match)
+        assert sum(cut >= floor for _, cut in cuts) > 50  # the later records and the step counter
+
+    def test_every_flipped_header_is_named(self, blob, tmp_path):
+        for label, lo, hi in record_fields(SMALL):
+            if label.startswith(("payload", "step")):
+                continue
+            bad = bytearray(blob)
+            bad[self.start + (lo + hi) // 2] ^= 0xFF
+            self.refused(tmp_path / "flip.omg", bytes(bad),
+                         f"^{re.escape(label)} is not what the config implies$")
+
+    def test_trailing_byte_is_named(self, blob, tmp_path):
+        self.refused(tmp_path / "long.omg", blob + b"\x00",
+                     "^1 trailing bytes after the step counter$")

@@ -216,6 +216,16 @@ class TestTraceCommands:
         assert len(rows) == 1 + W
         assert all(r[1] != "" and r[2] != "" for r in rows[1:])
 
+    def test_forecast_horizon_from_config(self, pre, target_csv, tmp_path):
+        cfg = tmp_path / "h4.cfg"
+        cfg.write_text(SMALL_CFG + "eval.horizon = 4\n", encoding="utf-8")
+        out = tmp_path / "fc"
+        argv = ["forecast", "--config", str(cfg), "--checkpoint", str(pre / "checkpoint.omg"),
+                "--data", str(target_csv), "--out", str(out)]
+        assert main(argv) == 0
+        assert len(read_rows(out / "trace.csv")) == 1 + W + 4
+        assert "eval.horizon = 4" in (out / "config.resolved").read_text(encoding="utf-8")
+
     def test_series_shorter_than_context(self, pre, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("value\n" + "\n".join("0.5" for _ in range(10)) + "\n")
@@ -365,8 +375,20 @@ def overflowing(pre, tmp_path_factory):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 class TestNonFiniteExits:
+    # overflow is the point; the suite turns any warning that escapes into an error
+    def test_diverged_pretrain_saves_nothing(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text(SMALL_CFG + "train.lr = 1000\n", encoding="utf-8")
+        out = tmp_path / "pre"
+        argv = ["pretrain", "--config", str(cfg), "--data", str(corpus), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged at step"), err
+        # a diverged model's statistics are non-finite: it must never be saved
+        assert not (out / "checkpoint.omg").exists()
+        assert not (out / "curve.csv").exists()
+
     def test_eval_writes_no_report(self, cfg_file, overflowing, target_csv, tmp_path, capsys):
         out = tmp_path / "ev"
         argv = ["eval", "--config", str(cfg_file), "--checkpoint", str(overflowing),
