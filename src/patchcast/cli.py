@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 validation problem (bad flags, bad config, bad
 input data), 2 runtime/numeric failure (divergence, corrupt checkpoint,
 failed self-test).  ``OMEGA_LOG={error|info|debug}`` adjusts verbosity on
-stderr.  Every directory-producing command echoes its fully resolved
-configuration as ``config.resolved``, which ``--config`` accepts back.
+stderr.  ``main`` resolves the configuration once (defaults, ``--config``,
+then each set flag, whose ``dest`` is its dotted key).  A command then reads
+and checks its inputs, creates ``--out`` with the resolved configuration as
+``config.resolved`` (which ``--config`` accepts back), and only then trains or
+scores, so a missing or corrupt input leaves no ``--out``.
 """
 
 import argparse
@@ -17,20 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import build_run_config, parse_config_file, render_config
-from .data import (
-    denormalize,
-    load_csv,
-    minmax_normalize,
-    save_series_csv,
-    write_trace_csv,
-)
+from .data import denormalize, load_csv, minmax_normalize, split_series, write_trace_csv
 from .errors import ConfigError, DataError, PatchcastError, ShapeError
 from .eval import (
     TASKS,
     baseline_persistence,
     evaluate_zero_shot,
     select_best_snapshot,
-    split_series,
     three_way_compare,
     write_report_summary,
     write_window_csv,
@@ -79,10 +75,10 @@ def _build_parser() -> _Parser:
         )
 
     def eval_flags(p):
-        p.add_argument("--window", type=int, help="context length in samples")
-        p.add_argument("--horizon", type=int, help="forecast length in samples")
-        p.add_argument("--stride", type=int, help="window step in samples")
-        p.add_argument("--task", choices=TASKS)
+        p.add_argument("--window", dest="eval.window", type=int, help="context length in samples")
+        p.add_argument("--horizon", dest="eval.horizon", type=int, help="forecast length in samples")
+        p.add_argument("--stride", dest="eval.stride", type=int, help="window step in samples")
+        p.add_argument("--task", dest="eval.task", choices=TASKS)
 
     p = sub.add_parser("synth", help="build the synthetic pretraining corpus")
     common(p)
@@ -98,13 +94,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="target series CSV")
     eval_flags(p)
-    p.set_defaults(func=cmd_finetune)
+    p.set_defaults(func=_adapt, fresh=False)
 
     p = sub.add_parser("target-train", help="train a fresh model on one target series")
     common(p)
     p.add_argument("--data", required=True, help="target series CSV")
     eval_flags(p)
-    p.set_defaults(func=cmd_target_train)
+    p.set_defaults(func=_adapt, fresh=True)
 
     p = sub.add_parser("eval", help="zero-shot sliding-window evaluation")
     common(p)
@@ -130,7 +126,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--data", "--input", dest="data", required=True, help="series CSV")
         if name == "forecast":
-            p.add_argument("--horizon", type=int, help="forecast rows")
+            p.add_argument("--horizon", dest="eval.horizon", type=int, help="forecast rows")
         p.set_defaults(func=cmd_trace, trace_task=name)
 
     p = sub.add_parser("gradcheck", help="numerics self-test on a tiny model")
@@ -144,32 +140,32 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args):
+    """Defaults, then ``--config``, then every flag that is set."""
     layers = []
     if getattr(args, "config", None):
         layers.append(parse_config_file(args.config))
-    cli: dict = {}
+    # a flag's dest is its dotted config key
+    cli = {key: value for key, value in vars(args).items() if "." in key and value is not None}
     if getattr(args, "seed", None) is not None:
         cli["model.seed"] = args.seed
         cli["train.seed"] = args.seed + 1
         cli["synth.seed"] = args.seed + 2
-    for flag, key in (
-        ("window", "eval.window"),
-        ("horizon", "eval.horizon"),
-        ("stride", "eval.stride"),
-        ("task", "eval.task"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cli[key] = value
     layers.append(cli)
     return build_run_config(*layers)
 
 
 def _prepare_outdir(args, rc) -> Path:
+    """Create ``--out`` and echo ``rc`` into it; called once the inputs passed."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(render_config(rc), encoding="utf-8")
     return out
+
+
+def _default_corpus(rc):
+    """(pool, manifest) of the stock recipe under ``rc.synth``."""
+    recipe = default_pretrain_recipe(variants_per_entry=rc.synth.variants_per_entry)
+    return build_corpus(recipe, seed=rc.synth.seed)
 
 
 def _load_pool(data_arg, rc):
@@ -182,60 +178,51 @@ def _load_pool(data_arg, rc):
         if not records:
             raise DataError(f"manifest {path} lists no series")
         return [series_from_record(r) for r in records]
-    recipe = default_pretrain_recipe(variants_per_entry=rc.synth.variants_per_entry)
-    pool, _ = build_corpus(recipe, seed=rc.synth.seed)
-    return pool
+    return _default_corpus(rc)[0]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_synth(args) -> int:
-    rc = _resolve_config(args)
+def cmd_synth(args, rc) -> int:
+    _, manifest = _default_corpus(rc)
     out = _prepare_outdir(args, rc)
-    recipe = default_pretrain_recipe(variants_per_entry=rc.synth.variants_per_entry)
-    pool, manifest = build_corpus(recipe, seed=rc.synth.seed)
     write_manifest(out / "corpus.manifest", manifest)
-    series_dir = out / "series"
-    series_dir.mkdir(exist_ok=True)
-    for series in pool:
-        save_series_csv(series_dir / f"{series.id}.csv", series)
-    print(f"wrote {len(pool)} series and corpus.manifest to {out}")
+    print(f"wrote corpus.manifest listing {len(manifest)} series to {out}")
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    rc = _resolve_config(args)
-    out = _prepare_outdir(args, rc)
+def cmd_pretrain(args, rc) -> int:
     pool = _load_pool(args.data, rc)
-    tc = replace(rc.train, target_mode="pretrain")
-    result = pretrain(pool, rc.model, tc)
-    save_checkpoint(result.model, out / "checkpoint.omg", step=tc.steps)
+    rc = replace(rc, train=replace(rc.train, target_mode="pretrain"))
+    out = _prepare_outdir(args, rc)
+    result = pretrain(pool, rc.model, rc.train)
+    save_checkpoint(result.model, out / "checkpoint.omg", step=rc.train.steps)
     write_curve_csv(out / "curve.csv", result.curve)
     print(
-        f"pretrained {tc.steps} steps on {len(pool)} series: "
+        f"pretrained {rc.train.steps} steps on {len(pool)} series: "
         f"loss {result.curve[0].total:.6f} -> {result.curve[-1].total:.6f}"
     )
     return 0
 
 
-def _adapt(args, fresh: bool) -> int:
-    """Shared body of finetune (fresh=False) and target-train (fresh=True)."""
-    rc = _resolve_config(args)
-    out = _prepare_outdir(args, rc)
+def _adapt(args, rc) -> int:
+    """finetune (``args.fresh`` False) and target-train (True)."""
     target = load_csv(args.data)
     task = rc.eval.task
-    if fresh:
-        tc = replace(rc.train, target_mode="target_train")
-        result = target_train(target, rc.model, tc)
-        model = result.model
+    model = None if args.fresh else load_checkpoint(args.checkpoint)[0]
+    mc = rc.model if args.fresh else model.config
+    _, val_seg, _ = split_series(target, mc.context_length, mc.l_pred)
+    mode = "target_train" if args.fresh else f"finetune_{task}"
+    rc = replace(rc, train=replace(rc.train, target_mode=mode))
+    out = _prepare_outdir(args, rc)
+    if args.fresh:
+        result = target_train(target, mc, rc.train)
     else:
-        model, _ = load_checkpoint(args.checkpoint)
-        tc = replace(rc.train, target_mode=f"finetune_{task}")
-        result = finetune(model, target, tc)
-    window, horizon, stride = rc.eval.resolve(model.config)
-    _, val_seg, _ = split_series(target, model.config.context_length, model.config.l_pred)
+        result = finetune(model, target, rc.train)
+    model = result.model
+    window, horizon, stride = rc.eval.resolve(mc)
     step, val_mse = select_best_snapshot(model, result, val_seg, task, window, horizon, stride)
     save_checkpoint(model, out / "checkpoint.omg", step=step + 1)
     write_curve_csv(out / "curve.csv", result.curve)
@@ -243,19 +230,10 @@ def _adapt(args, fresh: bool) -> int:
     return 0
 
 
-def cmd_finetune(args) -> int:
-    return _adapt(args, fresh=False)
-
-
-def cmd_target_train(args) -> int:
-    return _adapt(args, fresh=True)
-
-
-def cmd_eval(args) -> int:
-    rc = _resolve_config(args)
-    out = _prepare_outdir(args, rc)
+def cmd_eval(args, rc) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     series = load_csv(args.data)
+    out = _prepare_outdir(args, rc)
     window, horizon, stride = rc.eval.resolve(model.config)
     task = rc.eval.task
 
@@ -285,11 +263,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    rc = _resolve_config(args)
-    out = _prepare_outdir(args, rc)
+def cmd_compare(args, rc) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     target = load_csv(args.data)
+    out = _prepare_outdir(args, rc)
     window, horizon, stride = rc.eval.resolve(model.config)
     result = three_way_compare(
         model, target, rc.eval.task, window, horizon, stride, rc.train
@@ -303,8 +280,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    rc = _resolve_config(args)
+def cmd_trace(args, rc) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     series = load_csv(args.data)
     mc = model.config
@@ -312,7 +288,7 @@ def cmd_trace(args) -> int:
     L = len(series.values)
     if L < W:
         raise DataError(f"series has {L} samples; the model needs a context of {W}")
-    horizon = rc.eval.horizon or mc.l_pred
+    _, horizon, _ = rc.eval.resolve(mc)
     if not 1 <= horizon <= mc.l_pred:
         raise ConfigError(f"horizon must be in 1..{mc.l_pred} (the model's l_pred), got {horizon}")
 
@@ -344,7 +320,7 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args, rc) -> int:
     worst = 0.0
     ok = True
     for label, report in run_gradient_selfcheck():
@@ -392,7 +368,7 @@ def main(argv=None) -> int:
         # every non-finite value is caught at a boundary and raised as a typed
         # error, so NumPy's overflow warnings on the way there are only noise
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return args.func(args, _resolve_config(args))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

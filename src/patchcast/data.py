@@ -335,15 +335,6 @@ def load_csv(path) -> TimeSeries:
     return TimeSeries(id=path.stem, values=np.asarray(values))
 
 
-def save_series_csv(path, series: TimeSeries) -> None:
-    """Write a series as a single 'value' column (full float64 precision)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value"])
-        for x in series.values:
-            writer.writerow([repr(float(x))])
-
-
 def write_trace_csv(path, rows) -> None:
     """Write prediction traces: offset, ground_truth, prediction (source units).
 

@@ -11,6 +11,7 @@ by ``data.normalize_rows``, and the model MSE and both baselines are row
 reductions over that block.
 """
 
+import csv
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -411,14 +412,15 @@ REPORT_HEADER = "dataset,task,variant,windows,mean_mse,persistence_mse,mean_base
 
 
 def write_report_summary(path, reports: Sequence[EvalReport]) -> None:
-    """One summary line per report."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One summary line per report; a dataset id holding a comma is quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(REPORT_HEADER + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
         for r in reports:
-            fh.write(
-                f"{r.dataset},{r.task},{r.variant},{r.n_windows},"
-                f"{r.mean_mse!r},{r.persistence_mse!r},{r.mean_baseline_mse!r}\n"
-            )
+            writer.writerow([
+                r.dataset, r.task, r.variant, r.n_windows,
+                repr(r.mean_mse), repr(r.persistence_mse), repr(r.mean_baseline_mse),
+            ])
 
 
 def write_window_csv(path, report: EvalReport) -> None:

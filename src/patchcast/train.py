@@ -446,17 +446,16 @@ def save_checkpoint(model: Model, path, step: int = 0) -> None:
         raise
 
 
-def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
+def load_checkpoint(path):
     """Read a checkpoint; returns (model, step).
 
     Validates magic, version, and that the file is exactly the one the
     embedded config implies: its size, and every record header byte for
     byte, so the tensors are the parameter-and-statistics set in spec order
-    with matching shapes; then that every value is finite.  ``expect_config``
-    additionally pins the caller's geometry.  Each payload is read from the
-    file straight into its arena or statistics view; since the file stores
-    ``<f4`` and the arrays are native float32, this relies on a little-endian
-    host.
+    with matching shapes; then that every value is finite.  Each payload is
+    read from the file straight into its arena or statistics view; since the
+    file stores ``<f4`` and the arrays are native float32, this relies on a
+    little-endian host.
     """
     with open(path, "rb", buffering=0) as fh:
         fd = fh.fileno()
@@ -479,12 +478,6 @@ def load_checkpoint(path, expect_config: Optional[ModelConfig] = None):
             if len(raw) != start - _CONFIG_AT:
                 raise CheckpointCorruptError("checkpoint truncated while reading config block")
             config = _read_config(raw)
-        if expect_config is not None and config != expect_config:
-            theirs, ours = config.to_dict(), expect_config.to_dict()
-            diff = [k for k in ours if theirs.get(k) != ours[k]]
-            raise CheckpointCorruptError(
-                f"checkpoint config does not match the requested one (differs in {diff})"
-            )
         floor = 4 * _floats_floor(config)
         if size - start < floor:
             raise CheckpointCorruptError(

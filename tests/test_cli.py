@@ -11,7 +11,15 @@ import types
 
 import pytest
 
+import patchcast.cli as cli_mod
 from patchcast.cli import main
+from patchcast.synth import (
+    build_corpus,
+    default_pretrain_recipe,
+    read_manifest,
+    series_from_record,
+    write_manifest,
+)
 from patchcast.train import load_checkpoint, save_checkpoint
 
 SMALL_CFG = """\
@@ -47,9 +55,13 @@ def corpus(cfg_file, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def target_csv(corpus):
+def target_csv(corpus, tmp_path_factory):
     # any long series does; sawtooth is always part of the default recipe
-    return sorted((corpus / "series").glob("sawtooth-*.csv"))[0]
+    record = next(r for r in read_manifest(corpus / "corpus.manifest") if r.kind == "sawtooth")
+    values = series_from_record(record).values.tolist()
+    path = tmp_path_factory.mktemp("target") / "sawtooth.csv"
+    path.write_text("value\n" + "".join(f"{x!r}\n" for x in values), encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +71,26 @@ def pre(cfg_file, corpus, tmp_path_factory):
             "--data", str(corpus), "--out", str(out)]
     assert main(argv) == 0
     return out
+
+
+def _adapt_run(command, cfg_file, pre, target_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp(command)
+    argv = [command, "--config", str(cfg_file), "--seed", "5",
+            "--data", str(target_csv), "--out", str(out)]
+    if command == "finetune":
+        argv += ["--checkpoint", str(pre / "checkpoint.omg")]
+    assert main(argv) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def ft(cfg_file, pre, target_csv, tmp_path_factory):
+    return _adapt_run("finetune", cfg_file, pre, target_csv, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def tt(cfg_file, pre, target_csv, tmp_path_factory):
+    return _adapt_run("target-train", cfg_file, pre, target_csv, tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
@@ -114,19 +146,72 @@ class TestUsage:
 
 
 class TestSynth:
-    def test_manifest_matches_series_files(self, corpus):
-        manifest = (corpus / "corpus.manifest").read_text().strip().splitlines()
-        csvs = list((corpus / "series").glob("*.csv"))
-        assert len(manifest) == len(csvs) > 0
-        assert (corpus / "config.resolved").exists()
+    def test_writes_the_recipe_manifest_only(self, corpus, tmp_path):
+        # a manifest regenerates every series bitwise, so no series file is written
+        assert {p.name for p in corpus.iterdir()} == {"config.resolved", "corpus.manifest"}
+        _, manifest = build_corpus(default_pretrain_recipe(variants_per_entry=2), seed=7)
+        want = tmp_path / "want.manifest"
+        write_manifest(want, manifest)
+        assert (corpus / "corpus.manifest").read_bytes() == want.read_bytes()
 
     def test_same_seed_reproduces_corpus(self, cfg_file, corpus, tmp_path):
         out = tmp_path / "again"
         argv = ["synth", "--config", str(cfg_file), "--seed", "5", "--out", str(out)]
         assert main(argv) == 0
         assert (out / "corpus.manifest").read_bytes() == (corpus / "corpus.manifest").read_bytes()
-        name = sorted((corpus / "series").glob("*.csv"))[0].name
-        assert (out / "series" / name).read_bytes() == (corpus / "series" / name).read_bytes()
+
+
+class TestRunProtocol:
+    @pytest.mark.parametrize("run, files", [
+        ("corpus", {"corpus.manifest"}),
+        ("pre", {"checkpoint.omg", "curve.csv"}),
+        ("ft", {"checkpoint.omg", "curve.csv"}),
+        ("tt", {"checkpoint.omg", "curve.csv"}),
+        ("ev", {"report.csv", "windows.csv", "traces"}),
+        ("cmp_out", {"report.csv", "summary.txt", "windows_zero_shot.csv",
+                     "windows_fine_tuned.csv", "windows_target_trained.csv"}),
+    ])
+    def test_each_command_writes_exactly_its_files(self, request, run, files):
+        out = request.getfixturevalue(run)
+        assert {p.name for p in out.iterdir()} == files | {"config.resolved"}
+
+    @pytest.mark.parametrize("run, mode", [
+        ("pre", "pretrain"), ("ft", "finetune_forecast"), ("tt", "target_train"),
+    ])
+    def test_config_resolved_names_the_target_mode(self, request, run, mode):
+        echo = (request.getfixturevalue(run) / "config.resolved").read_text(encoding="utf-8")
+        assert f"train.target_mode = {mode}\n" in echo
+
+    @pytest.mark.parametrize("command", ["finetune", "target-train"])
+    def test_missing_data_leaves_no_out(self, pre, tmp_path, command, capsys):
+        argv = [command, "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")]
+        if command == "finetune":
+            argv += ["--checkpoint", str(pre / "checkpoint.omg")]
+        assert main(argv) == 1
+        assert "absent.csv" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("content, code", [(None, 1), (b"\x00" * 64, 2)],
+                             ids=["missing", "corrupt"])
+    def test_bad_checkpoint_leaves_no_out(self, target_csv, tmp_path, command, content, code):
+        checkpoint = tmp_path / "c.omg"
+        if content is not None:
+            checkpoint.write_bytes(content)
+        argv = [command, "--checkpoint", str(checkpoint), "--data", str(target_csv),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == code
+        assert not (tmp_path / "o").exists()
+
+    def test_unwritable_out_fails_before_training(self, cfg_file, corpus, tmp_path, monkeypatch):
+        def never(*_):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli_mod, "pretrain", never)
+        (tmp_path / "file").write_text("")
+        argv = ["pretrain", "--config", str(cfg_file), "--data", str(corpus),
+                "--out", str(tmp_path / "file" / "o")]
+        assert main(argv) == 1
 
 
 class TestPretrain:
@@ -354,6 +439,7 @@ class TestMalformedManifestExits:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
+        assert not (tmp_path / "o").exists()
 
     def test_empty_manifest_is_named(self, cfg_file, tmp_path, capsys):
         manifest = tmp_path / "empty.manifest"
@@ -363,6 +449,7 @@ class TestMalformedManifestExits:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: manifest {manifest} lists no series\n"
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -417,8 +504,6 @@ class TestGradcheckCommand:
         return lambda: [("layer/train", report), ("batch/infer", report)]
 
     def test_all_pass_exits_zero(self, monkeypatch, capsys):
-        import patchcast.cli as cli_mod
-
         monkeypatch.setattr(cli_mod, "run_gradient_selfcheck", self._fake(True))
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
@@ -426,8 +511,6 @@ class TestGradcheckCommand:
         assert "(tolerance 1.0e-03)" in out
 
     def test_any_failure_exits_two(self, monkeypatch, capsys):
-        import patchcast.cli as cli_mod
-
         monkeypatch.setattr(cli_mod, "run_gradient_selfcheck", self._fake(False))
         assert main(["gradcheck"]) == 2
         assert "FAIL" in capsys.readouterr().out

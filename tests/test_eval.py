@@ -1,9 +1,11 @@
 """Splits, sliding-window scoring, baselines, and the three-way comparison."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -503,6 +505,15 @@ class TestCsv:
         assert cells[0] == series.id and cells[1] == "forecast" and cells[2] == "zero_shot"
         assert int(cells[3]) == rep.n_windows
         assert float(cells[4]) == rep.mean_mse
+
+    def test_summary_quotes_comma_in_dataset_id(self, model, series, tmp_path):
+        rep = replace(evaluate_zero_shot(model, series, "forecast", W, H, S), dataset="run,1")
+        path = tmp_path / "summary.csv"
+        write_report_summary(path, [rep])
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [7, 7]
+        assert rows[1][0] == "run,1"
 
     def test_window_csv_roundtrip(self, model, series, tmp_path):
         rep = evaluate_zero_shot(model, series, "forecast", W, H, S)

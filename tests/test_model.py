@@ -346,6 +346,22 @@ class TestEndToEnd:
             assert p.grad is not None, f"{name} got no gradient"
             assert np.all(np.isfinite(p.grad)), f"{name} gradient not finite"
 
+    def test_layer_kind_taped_pass_ignores_mode(self):
+        # why the gradient self-check runs layer/train but not layer/infer
+        cfg = tiny(norm_kind="layer", seed=4)
+        x = rand_patches(cfg, batch=3, seed=8)
+        tgt = Tensor(np.random.default_rng(9).normal(size=(3, cfg.l_pred)).astype(np.float32))
+        runs = []
+        for mode in ("train", "infer"):
+            m = init_params(cfg)
+            with Tape() as tape:
+                h, z = encode(x, m, mode=mode)
+                backward(tape, mse(decode_forecast(z, m.forecast), tgt))
+            grads = [p.grad for p in m.named_parameters().values()]
+            runs.append([h.data, z.data, m.stats.copy()] + grads)
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
     def test_forward_is_float32_by_default(self):
         cfg = tiny(norm_kind="layer")
         m = init_params(cfg)

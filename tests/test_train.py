@@ -632,13 +632,6 @@ class TestCheckpoint:
         assert step == 10
         assert sorted(p.name for p in saved.parent.iterdir()) == [saved.name]
 
-    def test_expect_config_accepts_match(self, saved):
-        load_checkpoint(saved, expect_config=small_config())
-
-    def test_expect_config_names_field(self, saved):
-        with pytest.raises(CheckpointCorruptError, match="d_model"):
-            load_checkpoint(saved, expect_config=small_config(d_model=32))
-
     def test_bad_magic(self, saved, tmp_path):
         bad = tmp_path / "bad.omg"
         bad.write_bytes(b"XYZW" + saved.read_bytes()[4:])
