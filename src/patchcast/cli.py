@@ -25,6 +25,7 @@ from .errors import ConfigError, DataError, PatchcastError, ShapeError
 from .eval import (
     TASKS,
     baseline_persistence,
+    check_geometry,
     evaluate_zero_shot,
     select_best_snapshot,
     three_way_compare,
@@ -214,6 +215,8 @@ def _adapt(args, rc) -> int:
     model = None if args.fresh else load_checkpoint(args.checkpoint)[0]
     mc = rc.model if args.fresh else model.config
     _, val_seg, _ = split_series(target, mc.context_length, mc.l_pred)
+    window, horizon, stride = rc.eval.resolve(mc)
+    check_geometry(mc, window, horizon)
     mode = "target_train" if args.fresh else f"finetune_{task}"
     rc = replace(rc, train=replace(rc.train, target_mode=mode))
     out = _prepare_outdir(args, rc)
@@ -222,7 +225,6 @@ def _adapt(args, rc) -> int:
     else:
         result = finetune(model, target, rc.train)
     model = result.model
-    window, horizon, stride = rc.eval.resolve(mc)
     step, val_mse = select_best_snapshot(model, result, val_seg, task, window, horizon, stride)
     save_checkpoint(model, out / "checkpoint.omg", step=step + 1)
     write_curve_csv(out / "curve.csv", result.curve)
@@ -233,8 +235,9 @@ def _adapt(args, rc) -> int:
 def cmd_eval(args, rc) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     series = load_csv(args.data)
-    out = _prepare_outdir(args, rc)
     window, horizon, stride = rc.eval.resolve(model.config)
+    check_geometry(model.config, window, horizon)
+    out = _prepare_outdir(args, rc)
     task = rc.eval.task
 
     on_window = None
@@ -266,8 +269,10 @@ def cmd_eval(args, rc) -> int:
 def cmd_compare(args, rc) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     target = load_csv(args.data)
-    out = _prepare_outdir(args, rc)
     window, horizon, stride = rc.eval.resolve(model.config)
+    check_geometry(model.config, window, horizon)
+    split_series(target, window, horizon)  # refuse a short series before --out exists
+    out = _prepare_outdir(args, rc)
     result = three_way_compare(
         model, target, rc.eval.task, window, horizon, stride, rc.train
     )
@@ -289,8 +294,7 @@ def cmd_trace(args, rc) -> int:
     if L < W:
         raise DataError(f"series has {L} samples; the model needs a context of {W}")
     _, horizon, _ = rc.eval.resolve(mc)
-    if not 1 <= horizon <= mc.l_pred:
-        raise ConfigError(f"horizon must be in 1..{mc.l_pred} (the model's l_pred), got {horizon}")
+    check_geometry(mc, W, horizon)
 
     ctx = minmax_normalize(series.values[L - W :], source_offset=L - W)
     patches = ctx.values.reshape(mc.n_patches, mc.l_patch).astype(np.float32)

@@ -159,17 +159,13 @@ def denormalize(values, window: ContextWindow) -> np.ndarray:
 # windowing
 
 
-def sliding_windows(series, W: int, H: int, S: int) -> list:
-    """Enumerate context/target index spans at offsets 0, S, 2S, ...
+def window_count(L: int, W: int, H: int, S: int) -> int:
+    """How many context/target windows a length-L series holds: (L - W - H)//S + 1.
 
-    Accepts a TimeSeries or a plain length.  The number of windows is
-    floor((L - W - H)/S) + 1; every context is immediately followed by its
-    length-H target.
+    Windows start at offsets 0, S, 2S, ...; each is a length-W context
+    followed by its length-H target.  Raises ConfigError for a non-positive
+    W, H or S and InsufficientDataError when not even one window fits.
     """
-    if isinstance(series, TimeSeries):
-        L = len(series.values)
-    else:
-        L = int(series)
     for name, val in (("W", W), ("H", H), ("S", S)):
         if val < 1:
             raise ConfigError(f"{name} must be positive, got {val}")
@@ -177,7 +173,17 @@ def sliding_windows(series, W: int, H: int, S: int) -> list:
         raise InsufficientDataError(
             f"series has {L} samples but one window needs at least {W + H}"
         )
-    count = (L - W - H) // S + 1
+    return (L - W - H) // S + 1
+
+
+def sliding_windows(series, W: int, H: int, S: int) -> list:
+    """Enumerate context/target index spans at offsets 0, S, 2S, ...
+
+    Accepts a TimeSeries or a plain length; :func:`window_count` gives the
+    number of spans and checks the geometry.
+    """
+    L = len(series.values) if isinstance(series, TimeSeries) else int(series)
+    count = window_count(L, W, H, S)
     return [
         WindowSpan(context=(o, o + W), target=(o + W, o + W + H))
         for o in range(0, count * S, S)
@@ -312,7 +318,10 @@ def load_csv(path) -> TimeSeries:
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+        try:
+            rows = [r for r in csv.reader(fh) if r]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path.name}: not UTF-8 text: {exc}") from None
 
     if not rows:
         raise DataError(f"{path.name}: empty file")

@@ -24,8 +24,8 @@ from .data import (
     SplitSpec,  # re-exported: callers import the split from here too
     TimeSeries,
     normalize_rows,
-    sliding_windows,
     split_series,
+    window_count,
 )
 from .errors import (
     CompareError,
@@ -33,7 +33,7 @@ from .errors import (
     ContractError,
     PatchcastError,
 )
-from .model import Model, decode_forecast, decode_reconstruct, encode
+from .model import Model, ModelConfig, decode_forecast, decode_reconstruct, encode
 from .train import (
     TrainConfig,
     TrainResult,
@@ -86,7 +86,7 @@ class EvalReport:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        expected = (self.series_length - self.window - self.horizon) // self.stride + 1
+        expected = window_count(self.series_length, self.window, self.horizon, self.stride)
         if len(self.per_window) != expected:
             raise ContractError(
                 f"report has {len(self.per_window)} windows; geometry "
@@ -108,8 +108,8 @@ class EvalReport:
 # window scoring
 
 
-def _check_geometry(model: Model, window: int, horizon: int) -> None:
-    mc = model.config
+def check_geometry(mc: ModelConfig, window: int, horizon: int) -> None:
+    """Refuse a window that is not the model's context or a horizon past its l_pred."""
     if window != mc.context_length:
         raise ConfigError(
             f"checkpoint expects a context of {mc.context_length} samples "
@@ -132,8 +132,7 @@ def _windows(series: TimeSeries, task: str, window: int, horizon: int, stride: i
     reconstruction scores exactly zero; the forecast truth is not a model
     input and stays float64.
     """
-    count = len(sliding_windows(series, window, horizon, stride))
-    offsets = np.arange(count) * stride
+    offsets = np.arange(window_count(len(series.values), window, horizon, stride)) * stride
     rows, lo, hi = normalize_rows(
         sliding_window_view(series.values, window + horizon)[::stride], window
     )
@@ -188,7 +187,7 @@ def evaluate_zero_shot(
         raise ConfigError(f"workers must be 1 (scoring runs on one thread), got {workers!r}")
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    _check_geometry(model, window, horizon)
+    check_geometry(model.config, window, horizon)
     offsets, contexts, lo, hi, truths = _windows(series, task, window, horizon, stride)
     mc = model.config
     slabs = []
@@ -352,7 +351,7 @@ def three_way_compare(
     """
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    _check_geometry(model, window, horizon)
+    check_geometry(model.config, window, horizon)
     train_seg, val_seg, test_seg = split_series(target, window, horizon)
     log.info(
         "three-way compare on %r: segments %d/%d/%d samples",

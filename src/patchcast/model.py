@@ -18,8 +18,11 @@ outputs are bitwise equal.  In infer mode the batch-norm scales
 (``1/sqrt(running_var + EPS)``) are computed once per ``encode`` from the
 variance rows of ``Model.stats``.
 
-Every projection (patch, q/k/v/o, feedforward, head layers) is one fused
-``linear`` op, so it costs one tape record.  ReLU propagates NaN, so a
+The tape holds one record per sublayer: the patch, q/k/v and head output
+projections are ``linear`` ops, each attention or feedforward output projection is a
+``residual`` op (projection, norm and residual sum together), and each
+hidden layer, in the feedforward blocks and the heads, is a ``linear_relu``
+op.  An encoder layer is 7 records.  ReLU propagates NaN, so a
 non-finite weight reaches the decoder output, and ``_decode`` checks that
 output once: it is the boundary every caller passes (eval sweeps, the stream
 forecast, the CLI and both training heads), so the per-op scans can stay off.
@@ -368,10 +371,10 @@ def encode(
     p = ops.params(model.params)
     inv_std = _inverse_stds(model, mode)
 
-    def norm(y, name):
-        return ops.normalize(
-            y, cfg.norm_kind, p[name + ".gain"], p[name + ".bias"],
-            model.norm_states.get(name), mode, inv_std=inv_std.get(name),
+    def residual(h, x, w, b, norm):  # h + norm(x @ w + b), one record
+        return ops.residual(
+            h, x, p[w], p[b], cfg.norm_kind, p[norm + ".gain"], p[norm + ".bias"],
+            model.norm_states.get(norm), mode, inv_std.get(norm),
         )
 
     h = ops.linear(x, p["patch_proj.w"], p["patch_proj.b"])  # (B, n, d)
@@ -384,13 +387,11 @@ def encode(
         k = ops.linear(h, p[layer + "attn.wk"], p[layer + "attn.bk"])
         v = ops.linear(h, p[layer + "attn.wv"], p[layer + "attn.bv"])
         attn = ops.causal_attention(q, k, v, cfg.n_heads)
-        attn = ops.linear(attn, p[layer + "attn.wo"], p[layer + "attn.bo"])
-        h = ops.add(h, norm(attn, layer + "norm1"))
-        pre = ops.linear(h, p[layer + "ff.w1"], p[layer + "ff.b1"])
+        h = residual(h, attn, layer + "attn.wo", layer + "attn.bo", layer + "norm1")
+        ff, pre = ops.linear_relu(h, p[layer + "ff.w1"], p[layer + "ff.b1"])
         if taps is not None:
             taps[layer + "ff.preact"] = ops.tensor(pre)
-        ff = ops.linear(ops.relu(pre), p[layer + "ff.w2"], p[layer + "ff.b2"])
-        h = ops.add(h, norm(ff, layer + "norm2"))
+        h = residual(h, ff, layer + "ff.w2", layer + "ff.b2", layer + "norm2")
 
     seq_emb = ops.select_position(h, cfg.n_patches)  # (B, d)
     if single:
@@ -415,10 +416,10 @@ def _decode(z, params: DecoderParams, role: str, taps: Optional[dict]) -> Tensor
         "w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2,
     })
     h = ops.normalize(zt, "layer", p["gain"], p["bias"])
-    pre = ops.linear(h, p["w1"], p["b1"])
+    hidden, pre = ops.linear_relu(h, p["w1"], p["b1"])
     if taps is not None:
         taps[f"dec_{role}.preact"] = ops.tensor(pre)
-    out = ops.linear(ops.relu(pre), p["w2"], p["b2"])
+    out = ops.linear(hidden, p["w2"], p["b2"])
     if single:
         out = ops.reshape(out, (out.shape[1],))
     out = ops.tensor(out)

@@ -16,9 +16,15 @@ tape is open on the calling thread, ``PLAIN`` otherwise.  The plain path
 builds no Tensor, closure or record per op; only the body's results become
 Tensors.
 
-Every model projection is one ``linear`` op: a single GEMM over the
-flattened leading axes plus the bias.  ``relu`` propagates NaN, so a
-non-finite value reaches the model's outputs and the loss.  Scanning each op
+Every projection is one GEMM over the flattened leading axes plus the
+bias, and the model records one op per sublayer: ``linear`` for a bare
+projection, ``linear_relu`` for a hidden layer and ``residual`` for a
+post-norm residual sublayer, h + normalize(linear(x)).  A fused op runs the
+kernels of its parts and composes their backward rules (``_linear_rule``,
+``_normalize_rule``), so its values and gradients are bitwise those of the
+unfused chain; its record keeps only the arrays those rules read, and the
+intermediates no rule reads are freed when the op returns.  ReLU propagates
+NaN, so a non-finite value reaches the model's outputs and the loss.  Scanning each op
 output for NaN/Inf is an opt-in debug mode, set for the whole process with
 ``set_debug_checks``; the kernels run the scan, so it covers both paths.  It
 is off by default, and then the callers check at the boundaries instead (see
@@ -121,26 +127,55 @@ def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Y = X @ W + b over the last axis: (..., D_in) -> (..., D_out), one record.
+def _linear_rule(x: np.ndarray, w: np.ndarray):
+    """The backward of ``linear_kernel(x, w, b)``: ``(dout, needs) -> (dx, dw, db)``.
 
     dX = dY @ W^T, dW = X^T @ dY, db = dY summed over the flattened rows.
     """
-    wd = w.data
-    out = Tensor(linear_kernel(x.data, wd, b.data))
     in_shape = x.shape
-    d_in, d_out = wd.shape
-    flat = x.data.reshape(-1, d_in)
+    d_in, d_out = w.shape
+    flat = x.reshape(-1, d_in)
 
-    def bwd(dout, needs):
+    def rule(dout, needs):
         d2 = dout.reshape(-1, d_out)
-        dx = (d2 @ wd.T).reshape(in_shape) if needs[0] else None
+        dx = (d2 @ w.T).reshape(in_shape) if needs[0] else None
         dw = flat.T @ d2 if needs[1] else None
         db = d2.sum(axis=0) if needs[2] else None
         return dx, dw, db
 
-    _record("linear", (x, w, b), out, bwd)
+    return rule
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Y = X @ W + b over the last axis: (..., D_in) -> (..., D_out), one record."""
+    out = Tensor(linear_kernel(x.data, w.data, b.data))
+    _record("linear", (x, w, b), out, _linear_rule(x.data, w.data))
     return out
+
+
+def linear_relu_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple:
+    """(relu(X @ W + b), X @ W + b): a hidden layer and its pre-activation."""
+    pre = linear_kernel(x, w, b)
+    return relu_kernel(pre), pre
+
+
+def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> tuple:
+    """(relu(X @ W + b), X @ W + b) as Tensors, with one record for the first.
+
+    Bitwise ``relu(linear(x, w, b))``.  The rule masks with ``y > 0``, which
+    holds exactly where ``pre > 0`` (NaN included), so the record keeps no
+    pre-activation; ``pre`` is handed back for ``taps`` only, and nothing
+    else holds it.
+    """
+    y, pre = linear_relu_kernel(x.data, w.data, b.data)
+    out = Tensor(y)
+    lin = _linear_rule(x.data, w.data)
+
+    def bwd(dout, needs):
+        return lin(dout * (y > 0), needs)
+
+    _record("linear_relu", (x, w, b), out, bwd)
+    return out, Tensor(pre)
 
 
 def add_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -415,35 +450,105 @@ def normalize(
     g = gain.data
     y, xhat, inv_std = normalize_kernel(x.data, kind, g, bias.data, state, mode, inv_std)
     out = Tensor(y)
-    pool = tuple(range(x.data.ndim - 1))
     op = _norm_op(kind, mode)
+    _record(op, (x, gain, bias), out, _normalize_rule(op, g, xhat, inv_std))
+    return out
+
+
+def _normalize_rule(op: str, g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray):
+    """The backward of a norm named ``op``: ``(dout, needs) -> (dx, dgain, dbias)``.
+
+    Reads the gain, the normalized input ``xhat`` and the inverse std only.
+    """
+    pool = tuple(range(xhat.ndim - 1))
 
     if op == "batch_norm_infer":  # running stats are constants: affine in x
 
-        def bwd(dout, needs):
+        def rule(dout, needs):
             dx = dout * (g * inv_std) if needs[0] else None
             dg = (dout * xhat).sum(axis=pool) if needs[1] else None
             db = dout.sum(axis=pool) if needs[2] else None
             return dx, dg, db
 
-    else:
-        axes = (-1,) if kind == "layer" else pool  # the axes the statistics pool
+        return rule
 
-        def bwd(dout, needs):
-            dg = (dout * xhat).sum(axis=pool) if needs[1] else None
-            db = dout.sum(axis=pool) if needs[2] else None
-            if needs[0]:
-                dxhat = dout * g
-                dx = inv_std * (
-                    dxhat
-                    - dxhat.mean(axis=axes, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True)
-                )
-            else:
-                dx = None
-            return dx, dg, db
+    axes = (-1,) if op == "layer_norm" else pool  # the axes the statistics pool
 
-    _record(op, (x, gain, bias), out, bwd)
+    def rule(dout, needs):
+        dg = (dout * xhat).sum(axis=pool) if needs[1] else None
+        db = dout.sum(axis=pool) if needs[2] else None
+        if needs[0]:
+            dxhat = dout * g
+            dx = inv_std * (
+                dxhat
+                - dxhat.mean(axis=axes, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True)
+            )
+        else:
+            dx = None
+        return dx, dg, db
+
+    return rule
+
+
+def _check_stream(h: np.ndarray, z: np.ndarray) -> None:
+    if h.shape != z.shape:
+        raise ShapeError(f"residual: stream {h.shape} and branch {z.shape} differ")
+
+
+def residual_kernel(
+    h: np.ndarray,
+    x: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    kind: str,
+    g: np.ndarray,
+    bias: np.ndarray,
+    state: NormState | None = None,
+    mode: str = "train",
+    inv_std: np.ndarray | None = None,
+) -> np.ndarray:
+    """h + normalize(X @ W + b): the value of :func:`residual`, on arrays."""
+    z = linear_kernel(x, w, b)
+    _check_stream(h, z)
+    return add_kernel(h, normalize_kernel(z, kind, g, bias, state, mode, inv_std, keep=False)[0])
+
+
+def residual(
+    h: Tensor,
+    x: Tensor,
+    w: Tensor,
+    b: Tensor,
+    kind: str,
+    gain: Tensor,
+    bias: Tensor,
+    state: NormState | None = None,
+    mode: str = "train",
+    inv_std: np.ndarray | None = None,
+) -> Tensor:
+    """A post-norm residual sublayer, h + normalize(linear(x, w, b)), as one record.
+
+    Bitwise ``add(h, normalize(linear(x, w, b), kind, gain, bias, ...))``,
+    with the norm arguments of :func:`normalize`; ``h`` must have the
+    linear output's shape.  The rule runs the norm rule, then the linear
+    rule, and passes ``dout`` to ``h`` unchanged.  The record keeps what
+    those rules read (x, W, the gain, ``xhat`` and the inverse std); the
+    linear and norm outputs exist only during this call.
+    """
+    wd, g = w.data, gain.data
+    z = linear_kernel(x.data, wd, b.data)
+    _check_stream(h.data, z)
+    y, xhat, inv_std = normalize_kernel(z, kind, g, bias.data, state, mode, inv_std)
+    out = Tensor(add_kernel(h.data, y))
+    norm = _normalize_rule(_norm_op(kind, mode), g, xhat, inv_std)
+    lin = _linear_rule(x.data, wd)
+
+    def bwd(dout, needs):
+        dz, dg, dbias = norm(dout, (any(needs[1:4]), needs[4], needs[5]))
+        dx, dw, db = (None,) * 3 if dz is None else lin(dz, needs[1:4])
+        return (dout if needs[0] else None), dx, dw, db, dg, dbias
+
+    _record("residual", (h, x, w, b, gain, bias), out, bwd)
     return out
 
 
@@ -544,8 +649,9 @@ class Forward(NamedTuple):
     params: Callable
     tensor: Callable
     linear: Callable
+    linear_relu: Callable
+    residual: Callable
     add: Callable
-    relu: Callable
     reshape: Callable
     append_token: Callable
     select_position: Callable
@@ -570,8 +676,9 @@ TAPED = Forward(
     params=lambda tensors: tensors,
     tensor=lambda t: t,
     linear=linear,
+    linear_relu=linear_relu,
+    residual=residual,
     add=add,
-    relu=relu,
     reshape=reshape,
     append_token=append_token,
     select_position=select_position,
@@ -584,8 +691,9 @@ PLAIN = Forward(
     params=lambda tensors: {name: t.data for name, t in tensors.items()},
     tensor=Tensor,
     linear=linear_kernel,
+    linear_relu=linear_relu_kernel,
+    residual=residual_kernel,
     add=add_kernel,
-    relu=relu_kernel,
     reshape=reshape_kernel,
     append_token=append_token_kernel,
     select_position=select_position_kernel,

@@ -419,10 +419,13 @@ def write_manifest(path, manifest: Sequence[ManifestRecord]) -> None:
 def read_manifest(path) -> list:
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(ManifestRecord.from_line(line))
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    records.append(ManifestRecord.from_line(line))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"manifest {path} is not UTF-8 text: {exc}") from None
     return records
 
 

@@ -203,6 +203,50 @@ class TestRunProtocol:
         assert main(argv) == code
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "compare", "finetune"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--horizon", "999"], "l_pred"),
+        (["--window", str(W // 2)], "context"),
+    ], ids=["horizon", "window"])
+    def test_geometry_refusal_leaves_no_out(self, cfg_file, pre, target_csv, tmp_path, capsys,
+                                            command, flags, named):
+        argv = [command, "--config", str(cfg_file), "--checkpoint", str(pre / "checkpoint.omg"),
+                "--data", str(target_csv), "--out", str(tmp_path / "o"), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_on_a_short_series_leaves_no_out(self, cfg_file, pre, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("value\n" + "".join(f"{i % 7}\n" for i in range(10 * (W + H) - 1)))
+        argv = ["compare", "--config", str(cfg_file), "--checkpoint", str(pre / "checkpoint.omg"),
+                "--data", str(short), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "three-way split" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("reader", ["csv", "config", "manifest"])
+    def test_undecodable_input_is_one_error_line(self, cfg_file, pre, target_csv, tmp_path,
+                                                 capsys, reader):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe1.0\n2.0\n")
+        out = str(tmp_path / "o")
+        ckpt = str(pre / "checkpoint.omg")
+        argv = {
+            "csv": ["eval", "--config", str(cfg_file), "--checkpoint", ckpt,
+                    "--data", str(bad), "--out", out],
+            "config": ["eval", "--config", str(bad), "--checkpoint", ckpt,
+                       "--data", str(target_csv), "--out", out],
+            "manifest": ["pretrain", "--config", str(cfg_file), "--data", str(bad), "--out", out],
+        }[reader]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "bad.bin" in err and "UTF-8" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_out_fails_before_training(self, cfg_file, corpus, tmp_path, monkeypatch):
         def never(*_):
             raise AssertionError("training started")

@@ -15,6 +15,7 @@ from patchcast.data import (
     normalize_rows,
     preprocess_slow_signal,
     sliding_windows,
+    window_count,
     write_trace_csv,
 )
 from patchcast.errors import (
@@ -169,6 +170,14 @@ class TestSlidingWindows:
                 assert s.context[1] - s.context[0] == W
                 assert s.target[1] - s.target[0] == H
                 assert s.context[1] == s.target[0]
+
+    def test_count_is_the_span_count_and_shares_the_checks(self):
+        for L, W, H, S in [(1280, 1024, 128, 128), (19360, 1024, 128, 128), (400, 17, 3, 7)]:
+            assert window_count(L, W, H, S) == len(sliding_windows(L, W, H, S))
+        with pytest.raises(InsufficientDataError, match="1152"):
+            window_count(1151, 1024, 128, 128)
+        with pytest.raises(ConfigError):
+            window_count(100, 10, 5, 0)
 
     def test_accepts_series(self):
         s = _series(np.zeros(1300))

@@ -16,11 +16,13 @@ from patchcast.numerics import (
     causal_attention,
     grad_check,
     linear,
+    linear_relu,
     matmul,
     mse,
     normalize,
     relu,
     reshape,
+    residual,
     scale,
     select_position,
 )
@@ -134,6 +136,47 @@ def test_normalize_gradients(kind, mode):
                            state=state, mode=mode)
         return mse(normed, target)
 
+    report = grad_check(f, params)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("kind,mode", [
+    ("batch", "train"),
+    ("batch", "infer"),
+    ("layer", "train"),
+])
+def test_residual_gradients(kind, mode):
+    rng = np.random.default_rng(9)
+    params = {
+        "h": _p(rng, (2, 3, 4)),
+        "x": _p(rng, (2, 3, 5)),
+        "w": _p(rng, (5, 4)),
+        "b": _p(rng, (4,)),
+        "gain": Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True, dtype=F64),
+        "bias": _p(rng, (4,)),
+    }
+    target = Tensor(rng.normal(size=(2, 3, 4)), dtype=F64)
+    state = NormState(running_mean=rng.normal(size=4), running_var=rng.uniform(0.5, 2.0, size=4))
+
+    def f():
+        p = params
+        out = residual(p["h"], p["x"], p["w"], p["b"], kind, p["gain"], p["bias"], state, mode)
+        return mse(out, target)
+
+    report = grad_check(f, params)
+    assert report.passed, str(report)
+
+
+def test_linear_relu_gradients():
+    rng = np.random.default_rng(12)
+    params = {"x": _p(rng, (2, 3, 4)), "w": _p(rng, (4, 6)), "b": _p(rng, (6,))}
+    target = Tensor(rng.normal(size=(2, 3, 6)), dtype=F64)
+
+    def f():
+        return mse(linear_relu(params["x"], params["w"], params["b"])[0], target)
+
+    x, w, b = (params[k].data for k in ("x", "w", "b"))
+    assert np.abs(x @ w + b).min() > 1e-2  # no unit within the probe's reach of its kink
     report = grad_check(f, params)
     assert report.passed, str(report)
 

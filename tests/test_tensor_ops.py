@@ -18,15 +18,24 @@ from patchcast.numerics import (
     debug_checks,
     debug_checks_enabled,
     linear,
+    linear_relu,
     matmul,
     mse,
     normalize,
     relu,
+    residual,
     reshape,
     scale,
     select_position,
 )
-from patchcast.numerics.ops import EPS, _causal_mask, normalize_kernel, reshape_kernel
+from patchcast.numerics.ops import (
+    EPS,
+    _causal_mask,
+    linear_relu_kernel,
+    normalize_kernel,
+    reshape_kernel,
+    residual_kernel,
+)
 
 
 def _matmul_oracle(a, b):
@@ -135,6 +144,105 @@ class TestLinear:
         w[1, 2] = np.nan
         with debug_checks(True), pytest.raises(NumericError, match="linear"):
             linear(Tensor(np.ones((2, 5, 4), np.float32)), Tensor(w), Tensor(np.zeros(3, np.float32)))
+
+
+def _residual_chain(h, x, w, b, kind, gain, bias, state, mode):
+    # the linear -> normalize -> add chain that residual replaces
+    return add(h, normalize(linear(x, w, b), kind, gain, bias, state, mode))
+
+
+def _linear_relu_chain(x, w, b):
+    pre = linear(x, w, b)
+    return relu(pre), pre
+
+
+def _bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFusedOps:
+    """Each fused op is bitwise its unfused chain: values, statistics, gradients."""
+
+    @staticmethod
+    def _arrays(seed, *shapes):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=shape).astype(np.float32) for shape in shapes]
+
+    @pytest.mark.parametrize("kind, mode", [("batch", "train"), ("batch", "infer"), ("layer", "train")])
+    def test_residual_bitwise_equal_to_chain(self, kind, mode):
+        # h feeds a projection first, as in an encoder layer, so its gradient
+        # accumulates from two records in the same order on both sides
+        h0, wq, bq, w, b, gain, bias, mean0, target = self._arrays(
+            21, (3, 5, 4), (4, 6), (6,), (6, 4), (4,), (4,), (4,), (4,), (3, 5, 4)
+        )
+        var0 = np.abs(mean0) + 0.5
+
+        def run(op):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (h0, wq, bq, w, b, gain, bias)]
+            h, lwq, lbq, lw, lb, lg, lbias = leaves
+            state = NormState(mean0.copy(), var0.copy())
+            with Tape() as tape:
+                out = op(h, linear(h, lwq, lbq), lw, lb, kind, lg, lbias, state, mode)
+                backward(tape, mse(out, Tensor(target)))
+            return out.data, state, [t.grad for t in leaves]
+
+        got, got_state, got_grads = run(residual)
+        ref, ref_state, ref_grads = run(_residual_chain)
+        assert got.dtype == np.float32 and _bitwise(got, ref)
+        assert _bitwise(got_state.running_mean, ref_state.running_mean)
+        assert _bitwise(got_state.running_var, ref_state.running_var)
+        for g, r in zip(got_grads, ref_grads):
+            assert _bitwise(g, r)
+        plain_state = NormState(mean0.copy(), var0.copy())
+        plain = residual_kernel(h0, linear(Tensor(h0), Tensor(wq), Tensor(bq)).data, w, b,
+                                kind, gain, bias, plain_state, mode)
+        assert _bitwise(plain, ref)
+        assert _bitwise(plain_state.running_var, ref_state.running_var)
+
+    def test_linear_relu_bitwise_equal_to_chain(self):
+        x0, w, b, target = self._arrays(22, (3, 5, 4), (4, 6), (6,), (3, 5, 6))
+        x0[0, 0] = 0.0  # with b zeroed there, pre sits exactly on the kink
+        b[:2] = 0.0
+
+        def run(op):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x0, w, b)]
+            with Tape() as tape:
+                y, pre = op(*leaves)
+                backward(tape, mse(y, Tensor(target)))
+            return y.data, pre.data, [t.grad for t in leaves]
+
+        got, got_pre, got_grads = run(linear_relu)
+        ref, ref_pre, ref_grads = run(_linear_relu_chain)
+        assert (ref_pre == 0).any() and (ref_pre < 0).any()
+        assert _bitwise(got, ref) and _bitwise(got_pre, ref_pre)
+        for g, r in zip(got_grads, ref_grads):
+            assert _bitwise(g, r)
+        plain, plain_pre = linear_relu_kernel(x0, w, b)
+        assert _bitwise(plain, ref) and _bitwise(plain_pre, ref_pre)
+
+    def test_linear_relu_mask_propagates_nan_like_relu(self):
+        x = Tensor(np.array([[1.0], [-1.0], [np.nan]], np.float32), requires_grad=True)
+        w = Tensor(np.ones((1, 1), np.float32), requires_grad=True)
+        b = Tensor(np.zeros(1, np.float32), requires_grad=True)
+        with debug_checks(False), Tape() as tape:
+            y, pre = linear_relu(x, w, b)
+        assert np.isnan(y.data[2, 0]) and np.isnan(pre.data[2, 0])
+        dout = np.ones((3, 1), np.float32)
+        dx, _, _ = tape.records[0].backward_fn(dout, (True, True, True))
+        assert_array_equal(dx, [[1.0], [0.0], [0.0]])  # NaN > 0 is False, as for relu
+
+    def test_residual_records_one_op_and_checks_the_stream(self):
+        x, w, b = (Tensor(a) for a in self._arrays(23, (4, 3), (3, 2), (2,)))
+        gain, bias = Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32))
+        with Tape() as tape:
+            residual(Tensor(np.zeros((4, 2), np.float32)), x, w, b, "layer", gain, bias)
+        assert [rec.op for rec in tape.records] == ["residual"]
+        for bad in ((4, 3), (1, 2), (2,)):
+            with pytest.raises(ShapeError, match="residual"):
+                residual(Tensor(np.zeros(bad, np.float32)), x, w, b, "layer", gain, bias)
+            with pytest.raises(ShapeError, match="residual"):
+                residual_kernel(np.zeros(bad, np.float32), x.data, w.data, b.data,
+                                "layer", gain.data, bias.data)
 
 
 class TestNormalize:

@@ -1,12 +1,18 @@
 """Training loops, freezing, divergence policy, and the checkpoint format."""
 
+import hashlib
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import patchcast
 import patchcast.train as train_mod
 from patchcast.data import TimeSeries, make_batch
 from patchcast.errors import (
@@ -33,10 +39,12 @@ from patchcast.numerics import (
     Tape,
     Tensor,
     adamw_step,
+    add,
     backward,
     debug_checks,
     grad_check,
     mse,
+    scale,
     zero_grads,
 )
 from patchcast.selfcheck import clear_relu_kinks, dual_loss_setup
@@ -439,9 +447,13 @@ class TestTapeCensus:
         pretrain(pool, small_config(), TrainConfig(steps=1, batch_size=4, seed=3))
         (tape,) = tapes
         ops = self.ops_of(tape)
-        assert ops["linear"] == 6 * n_layers + 5
-        assert "reshape" not in ops and "matmul" not in ops
-        assert len(tape) == 12 * n_layers + 17
+        # q/k/v, then the two residual sublayers and the feedforward hidden layer
+        assert ops["linear"] == 3 * n_layers + 3
+        assert ops["residual"] == 2 * n_layers
+        assert ops["linear_relu"] == n_layers + 2
+        assert not {"reshape", "matmul", "relu", "batch_norm"} & set(ops)
+        assert ops["add"] == 2  # pos_emb and the loss
+        assert len(tape) == 7 * n_layers + 15
 
     def test_finetune_step_records_heads_and_losses_only(self, pool, target, tapes):
         model = pretrain(pool, small_config(), TrainConfig(steps=1, batch_size=4, seed=3)).model
@@ -450,9 +462,99 @@ class TestTapeCensus:
             model, target, TrainConfig(steps=1, batch_size=4, seed=1, target_mode="finetune_forecast")
         )
         (tape,) = tapes
-        # the trained head only: layer_norm, linear, relu, linear, mse
-        assert len(tape) == 5
-        assert self.ops_of(tape)["linear"] == 2
+        # the trained head only: layer_norm, linear_relu, linear, mse
+        assert len(tape) == 4
+        assert self.ops_of(tape)["linear"] == 1
+
+
+def _held_arrays(tape) -> list:
+    """Every array the tape keeps reachable: record outputs and rule closures."""
+    arrays, seen = [], set()
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, tuple):
+            for item in obj:
+                walk(item)
+        elif callable(obj) and getattr(obj, "__closure__", None) and id(obj) not in seen:
+            seen.add(id(obj))  # a rule may close over the rules it composes
+            for cell in obj.__closure__:
+                walk(cell.cell_contents)
+
+    for rec in tape.records:
+        arrays.append(rec.output.data)
+        walk(rec.backward_fn)
+    return arrays
+
+
+class TestTapeRetention:
+    def test_tape_holds_no_pre_activation_and_its_bytes_are_pinned(self):
+        model = init_params(small_config(), dtype=np.float32)
+        rng = np.random.default_rng(0)
+        cfg = model.config
+        x = rng.random((4, cfg.n_patches, cfg.l_patch)).astype(np.float32)
+        taps: dict = {}
+        with Tape() as tape:
+            _, z = encode(x, model, mode="train", taps=taps)
+            forecast = decode_forecast(z, model.forecast)
+            f_loss = mse(forecast, Tensor(np.zeros(forecast.shape, np.float32)))
+            r_loss = mse(decode_reconstruct(z, model.reconstruct), Tensor(x.reshape(4, -1)))
+            loss = add(scale(f_loss, 0.5), scale(r_loss, 0.5))
+        held = _held_arrays(tape)
+        preacts = [taps[f"layers.{i}.ff.preact"].data for i in range(cfg.n_layers)]
+        for pre in preacts:
+            assert not any(np.shares_memory(a, pre) for a in held)
+        # distinct buffers behind the held arrays, parameters and statistics aside
+        buffers = {}
+        for a in held:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if a is not model.arena and a is not model.stats:
+                buffers[id(a)] = a
+        assert len(tape) == 7 * cfg.n_layers + 15
+        assert (len(buffers), sum(a.nbytes for a in buffers.values())) == (46, 61556)
+        backward(tape, loss)  # the walk left the tape whole
+
+
+# Small enough to run in seconds, big enough that the feedforward and head
+# GEMMs (over 500k multiply-adds each) pass the size below which OpenBLAS
+# stays on one thread.
+THREADED_CFG = """\
+model.l_patch = 16
+model.n_patches = 16
+model.d_model = 32
+model.n_layers = 2
+model.n_heads = 2
+model.d_ff = 64
+model.l_pred = 32
+train.steps = 20
+train.batch_size = 16
+synth.variants_per_entry = 1
+"""
+
+
+def test_pretrain_is_bitwise_across_blas_threads(tmp_path):
+    cfg = tmp_path / "threaded.cfg"
+    cfg.write_text(THREADED_CFG, encoding="utf-8")
+    src = str(Path(patchcast.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for threads in ("1", "2", None):
+        env = base if threads is None else {**base, "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "patchcast.cli", "pretrain", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("checkpoint.omg", "curve.csv")
+        )
+    assert digests["1"] == digests["2"] == digests[None]
 
 
 TARGET_EVERY_2 = TrainConfig(steps=4, batch_size=4, seed=3, eval_every=2, target_mode="target_train")
