@@ -7,12 +7,16 @@ stderr.  ``main`` resolves the configuration once (defaults, ``--config``,
 then each set flag, whose ``dest`` is its dotted key).  A command then reads
 and checks its inputs, creates ``--out`` with the resolved configuration as
 ``config.resolved`` (which ``--config`` accepts back), and only then trains or
-scores, so a missing or corrupt input leaves no ``--out``.
+scores, so a missing or corrupt input leaves no ``--out``.  When the work
+fails after that, ``main`` removes the ``--out`` the run created, with any
+parent directories it made for it; a directory that existed before the run is
+not removed.
 """
 
 import argparse
 import logging
 import os
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -364,15 +368,28 @@ def _setup_logging() -> None:
     root.setLevel(levels[level_name])
 
 
+def _first_missing(path: Path):
+    """The topmost of ``path`` and its ancestors that does not exist yet, or None."""
+    top = None
+    while not path.exists() and path != path.parent:
+        top, path = path, path.parent
+    return top
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = _build_parser()
+    made = None  # the topmost path this run creates for --out; removed unless it succeeds
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None):
+            made = _first_missing(Path(args.out))
         # every non-finite value is caught at a boundary and raised as a typed
         # error, so NumPy's overflow warnings on the way there are only noise
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args, _resolve_config(args))
+            status = args.func(args, _resolve_config(args))
+        made = None
+        return status
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -382,6 +399,11 @@ def main(argv=None) -> int:
     except PatchcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if made is not None and made.is_dir():
+            shutil.rmtree(made)
+        elif made is not None and made.exists():  # a ``forecast --out x.csv`` cut short
+            made.unlink()
 
 
 if __name__ == "__main__":

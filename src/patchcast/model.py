@@ -25,7 +25,8 @@ hidden layer, in the feedforward blocks and the heads, is a ``linear_relu``
 op.  An encoder layer is 7 records.  ReLU propagates NaN, so a
 non-finite weight reaches the decoder output, and ``_decode`` checks that
 output once: it is the boundary every caller passes (eval sweeps, the stream
-forecast, the CLI and both training heads), so the per-op scans can stay off.
+forecast, the CLI and both training heads).  Under a tape,
+``Tape.first_nonfinite`` then names the op that first produced the value.
 
 The parameter set is stated once, in :func:`param_spec`: an ordered tuple of
 ``(name, shape, init)``, built once per config.  The model holds one

@@ -24,11 +24,8 @@ kernels of its parts and composes their backward rules (``_linear_rule``,
 ``_normalize_rule``), so its values and gradients are bitwise those of the
 unfused chain; its record keeps only the arrays those rules read, and the
 intermediates no rule reads are freed when the op returns.  ReLU propagates
-NaN, so a non-finite value reaches the model's outputs and the loss.  Scanning each op
-output for NaN/Inf is an opt-in debug mode, set for the whole process with
-``set_debug_checks``; the kernels run the scan, so it covers both paths.  It
-is off by default, and then the callers check at the boundaries instead (see
-``tensor``).
+NaN, so a non-finite value reaches the model's outputs and the loss, where
+the callers check for it (see ``tensor``).
 
 Shape glossary used below: B batch, T sequence length, D model width,
 h head count.
@@ -44,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..errors import ContractError, DegenerateBatchError, ShapeError
-from .tensor import Tensor, check_finite, current_tape, TapeRecord
+from .tensor import Tensor, current_tape, TapeRecord
 
 NORM_KINDS = ("batch", "layer")
 NORM_MODES = ("train", "infer")
@@ -96,9 +93,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     _same_dtype("matmul", a, b)
     ad, bd = a.data, b.data
-    c = ad @ bd
-    check_finite("matmul", c)
-    out = Tensor(c)
+    out = Tensor(ad @ bd)
 
     def bwd(dout, needs):
         da = dout @ bd.T if needs[0] else None
@@ -122,9 +117,7 @@ def linear_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         _same_dtype("linear", x, w, b)
     y = x.reshape(-1, d_in) @ w
     y += b
-    y = y.reshape(x.shape[:-1] + (d_out,))
-    check_finite("linear", y)
-    return y
+    return y.reshape(x.shape[:-1] + (d_out,))
 
 
 def _linear_rule(x: np.ndarray, w: np.ndarray):
@@ -182,11 +175,9 @@ def add_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.dtype != b.dtype:
         _same_dtype("add", a, b)
     try:
-        y = a + b
+        return a + b
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
-    check_finite("add", y)
-    return y
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -206,9 +197,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python constant (used for loss weighting)."""
     c = float(c)
-    y = x.data * c
-    check_finite("scale", y)
-    out = Tensor(y)
+    out = Tensor(x.data * c)
 
     def bwd(dout, needs):
         return (dout * c if needs[0] else None,)
@@ -218,9 +207,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def relu_kernel(x: np.ndarray) -> np.ndarray:
-    y = np.maximum(x, 0)
-    check_finite("relu", y)
-    return y
+    return np.maximum(x, 0)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -241,9 +228,7 @@ def reshape_kernel(x: np.ndarray, shape: tuple) -> np.ndarray:
     shape = tuple(int(n) for n in shape)
     if min(shape, default=0) < 0 or math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} ({x.size} elements) to {shape}")
-    y = x.reshape(shape)
-    check_finite("reshape", y)
-    return y
+    return x.reshape(shape)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
@@ -304,9 +289,7 @@ def causal_attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads
     w -= w.max(axis=-1, keepdims=True)  # diagonal is never masked, so the max is finite
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    y = _merge_heads(w @ vh)
-    check_finite("causal_attention", y)
-    return y, (qh, kh, vh, w, inv)
+    return _merge_heads(w @ vh), (qh, kh, vh, w, inv)
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -422,7 +405,6 @@ def normalize_kernel(
         y, xhat = xhat, None
         y *= g
     y += b
-    check_finite(_norm_op(kind, mode), y)
     return y, xhat, inv_std
 
 
@@ -562,9 +544,7 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
         raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
     _same_dtype("mse", pred, target)
     diff = pred.data - target.data
-    loss = np.asarray(np.mean(diff * diff), dtype=pred.data.dtype)
-    check_finite("mse", loss)
-    out = Tensor(loss)
+    out = Tensor(np.asarray(np.mean(diff * diff), dtype=pred.data.dtype))
     n = diff.size
 
     def bwd(dout, needs):
@@ -585,9 +565,7 @@ def append_token_kernel(x: np.ndarray, token: np.ndarray) -> np.ndarray:
         raise ShapeError(f"token width {token.shape[0]} != sequence width {D}")
     if token.dtype != x.dtype:
         _same_dtype("append_token", x, token)
-    y = np.concatenate([x, np.broadcast_to(token, (B, 1, D))], axis=1)
-    check_finite("append_token", y)
-    return y
+    return np.concatenate([x, np.broadcast_to(token, (B, 1, D))], axis=1)
 
 
 def append_token(x: Tensor, token: Tensor) -> Tensor:
@@ -610,9 +588,7 @@ def select_position_kernel(x: np.ndarray, index: int) -> np.ndarray:
     T = x.shape[1]
     if not -T <= index < T:
         raise ShapeError(f"position {index} out of range for length {T}")
-    y = x[:, index, :].copy()
-    check_finite("select_position", y)
-    return y
+    return x[:, index, :].copy()
 
 
 def select_position(x: Tensor, index: int) -> Tensor:

@@ -26,12 +26,11 @@ Conventions
   is bitwise what ``grad + g`` gives.  ``.grad`` becomes the home itself, so
   the optimizer finds it where it updates from, and the next sweep (after
   ``zero_grads``) overwrites it; copy a ``.grad`` to keep it.
-- Scanning every op output for NaN/Inf is an opt-in debug mode
-  (``set_debug_checks`` / ``debug_checks``), off by default.  The setting is
-  one flag for the whole process, every thread included, and the kernels
-  scan, so it covers both forward paths.  With it off,
-  non-finite values are caught where they leave the system: the decoder
-  outputs, the training loss, the gradient buffer and checkpoint load.
+- No op scans its output for NaN/Inf.  Non-finite values are caught where
+  they leave the system: the decoder outputs, the training loss, the
+  gradient buffer and checkpoint load.  Once one is caught, a tape names the
+  op that first produced it: ``Tape.first_nonfinite`` scans the recorded
+  outputs in execution order.
 - The last two check whole flat buffers with ``all_finite``: one BLAS dot
   product of the buffer with itself, whose finite result proves every
   element finite, with no boolean temporary.  Only a NaN, an Inf or finite
@@ -43,13 +42,12 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..errors import ContractError, NumericError, UnknownNodeError
+from ..errors import ContractError, UnknownNodeError
 
 DEFAULT_DTYPE = np.float32
 
@@ -162,6 +160,18 @@ class Tape:
         """Whether this tape recorded the op that created ``t``."""
         return id(t) in self._produced
 
+    def first_nonfinite(self) -> Optional[int]:
+        """Index of the first record, in execution order, whose output holds
+        NaN or Inf; None when every output is finite.
+
+        Only outputs count: values an op makes and drops inside its kernel,
+        such as the causal mask's -inf scores, are never seen.
+        """
+        for i, rec in enumerate(self.records):
+            if not all_finite(rec.output.data):
+                return i
+        return None
+
     def __enter__(self) -> "Tape":
         _stack().append(self)
         return self
@@ -186,38 +196,6 @@ def current_tape() -> Optional[Tape]:
     """The innermost active tape on this thread, or None."""
     stack = _stack()
     return stack[-1] if stack else None
-
-
-# ---------------------------------------------------------------------------
-# debug-mode finite checks
-
-_debug = False  # one setting for the whole process, every thread included
-
-
-def debug_checks_enabled() -> bool:
-    return _debug
-
-
-def set_debug_checks(enabled: bool) -> bool:
-    """Toggle NaN/Inf scanning of every op output; returns the previous setting."""
-    global _debug
-    prev, _debug = _debug, bool(enabled)
-    return prev
-
-
-@contextmanager
-def debug_checks(enabled: bool):
-    prev = set_debug_checks(enabled)
-    try:
-        yield
-    finally:
-        set_debug_checks(prev)
-
-
-def check_finite(op: str, arr: np.ndarray) -> None:
-    """Raise NumericError if ``arr`` holds NaN/Inf (debug mode only)."""
-    if _debug and not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values in output of {op}")
 
 
 def all_finite(arr: np.ndarray) -> bool:

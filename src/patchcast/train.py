@@ -28,6 +28,9 @@ decoder outputs (see ``model._decode``), the loss, and the gradient buffer,
 which ``adamw_step`` scans before it writes anything.  Any of them raises
 :class:`TrainingDiverged` before any write, so the model keeps the parameters
 the step started from; in train mode its statistics include the step's update.
+The message names the op whose output was the first non-finite one on the
+step's tape (``Tape.first_nonfinite``), or says that a frozen encoder's
+summary embedding was not finite: that encoder ran off the tape.
 
 Checkpoints are a little-endian binary format: magic ``OMGA``, a version
 word, the model config as key=value text, named float32 tensors (parameters
@@ -253,8 +256,13 @@ def _run_loop(
         except NumericError as exc:
             # non-finite values anywhere in the step mean the run is lost; the
             # model keeps the parameters this step started from
+            where = ""
+            if head is not None and not all_finite(z.data):
+                where = "; the frozen encoder's summary embedding is not finite"
+            elif (i := tape.first_nonfinite()) is not None:
+                where = f"; op {tape.records[i].op} (tape record {i}) made the first non-finite output"
             raise TrainingDiverged(
-                f"training diverged at step {step}: {exc}", step=step, curve=curve
+                f"training diverged at step {step}: {exc}{where}", step=step, curve=curve
             ) from exc
         zero_grads(trainable)
         curve.append(LossRecord(step, t_v, f_v, r_v))

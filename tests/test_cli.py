@@ -6,9 +6,11 @@ fixtures keep the total runtime to a few seconds.
 """
 
 import csv
+import re
 import struct
 import types
 
+import numpy as np
 import pytest
 
 import patchcast.cli as cli_mod
@@ -511,14 +513,39 @@ class TestNonFiniteExits:
     def test_diverged_pretrain_saves_nothing(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"
         cfg.write_text(SMALL_CFG + "train.lr = 1000\n", encoding="utf-8")
-        out = tmp_path / "pre"
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        out = kept / "pre"
         argv = ["pretrain", "--config", str(cfg), "--data", str(corpus), "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: training diverged at step"), err
         # a diverged model's statistics are non-finite: it must never be saved
-        assert not (out / "checkpoint.omg").exists()
-        assert not (out / "curve.csv").exists()
+        assert not out.exists()
+        assert kept.is_dir()  # it existed before the run
+
+    @pytest.mark.parametrize("command, checkpoint, named", [
+        ("pretrain", None, r"op \w+ \(tape record \d+\) made the first non-finite output"),
+        ("target-train", None, r"op \w+ \(tape record \d+\) made the first non-finite output"),
+        ("finetune", "pre", r"op \w+ \(tape record \d+\) made the first non-finite output"),
+        ("finetune", "overflowing", "the frozen encoder's summary embedding is not finite"),
+    ], ids=["pretrain", "target-train", "finetune", "finetune-overflowing-encoder"])
+    def test_divergence_names_its_source_and_leaves_no_out(self, request, corpus, target_csv,
+                                                           tmp_path, capsys, command,
+                                                           checkpoint, named):
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text(SMALL_CFG + "train.lr = 1e12\n", encoding="utf-8")
+        out = tmp_path / "new" / "deeper" / "o"  # the run creates its parents too
+        data = corpus if command == "pretrain" else target_csv
+        argv = [command, "--config", str(cfg), "--data", str(data), "--out", str(out)]
+        if checkpoint:
+            path = request.getfixturevalue(checkpoint)
+            argv += ["--checkpoint", str(path / "checkpoint.omg" if path.is_dir() else path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged at step"), err
+        assert re.search(named, err[0]), err
+        assert not (tmp_path / "new").exists()
 
     def test_eval_writes_no_report(self, cfg_file, overflowing, target_csv, tmp_path, capsys):
         out = tmp_path / "ev"
@@ -526,18 +553,16 @@ class TestNonFiniteExits:
                 "--data", str(target_csv), "--out", str(out), "--emit-traces"]
         assert main(argv) == 2
         assert "forecast decoder" in capsys.readouterr().err
-        assert not (out / "report.csv").exists()
-        assert not (out / "windows.csv").exists()
-        assert not any((out / "traces").iterdir())
+        assert not out.exists()  # nor the traces written before the failing window
 
     @pytest.mark.parametrize("command,name", [("forecast", "fc.csv"), ("reconstruct", "rec")])
     def test_trace_writes_no_file(self, cfg_file, overflowing, target_csv, tmp_path, capsys,
                                   command, name):
         argv = [command, "--config", str(cfg_file), "--checkpoint", str(overflowing),
-                "--data", str(target_csv), "--out", str(tmp_path / name)]
+                "--data", str(target_csv), "--out", str(tmp_path / "new" / name)]
         assert main(argv) == 2
         assert f"{command} decoder" in capsys.readouterr().err
-        assert not (tmp_path / name).exists()
+        assert not (tmp_path / "new").exists()
 
 
 class TestGradcheckCommand:
@@ -598,3 +623,72 @@ class TestCorruptConfigExits:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "config implies" in err
         assert "Traceback" not in err
+
+
+# The corruptions each reader gets, and the commands that read it.  A cut that
+# leaves a whole, shorter input is no corruption, so a text reader's cuts fall
+# where what is left cannot be valid: within a series' first W // 2 samples,
+# inside a config's first key, before a manifest line's seed.
+_READERS = {
+    "csv": (("utf8", "cut0", "cut1", "cut2", "nan", "text"),
+            ("finetune", "target-train", "eval", "compare", "forecast", "reconstruct")),
+    "config": (("utf8", "cut0", "cut1", "cut2", "nan", "text"),
+               ("synth", "pretrain", "finetune", "target-train", "eval", "compare",
+                "forecast", "reconstruct")),
+    "manifest": (("utf8", "cut0", "cut1", "cut2", "nan", "text"), ("pretrain",)),
+    "checkpoint": (("flip-magic", "flip-version", "flip-record", "cut0", "cut1", "cut2"),
+                   ("finetune", "eval", "compare", "forecast", "reconstruct")),
+}
+
+SWEEP_CFG = SMALL_CFG.partition("\n")[2]  # the first line is a key, not a comment
+
+
+def _spoil(reader, how, data):
+    """``data``, a valid input for ``reader``, corrupted as ``how`` names."""
+    if how == "utf8":
+        return b"\xff\xfe" + data
+    if how.startswith("cut"):
+        limit = {
+            "csv": lambda: len(b"".join(data.splitlines(keepends=True)[: W // 2])),
+            "config": lambda: data.index(b" ="),
+            "manifest": lambda: data.index(b" seed="),
+            "checkpoint": lambda: len(data),
+        }[reader]()
+        return data[: np.random.default_rng(12).integers(1, limit, size=3)[int(how[3:])]]
+    if reader == "checkpoint":
+        records = 12 + struct.unpack_from("<I", data, 8)[0] + 4  # the first record header
+        at = {"flip-magic": 0, "flip-version": 4, "flip-record": records + 2}[how]
+        return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :]
+    cell = b"nan" if how == "nan" else b"abc"
+    if reader == "csv":
+        lines = data.splitlines(keepends=True)
+        return b"".join(lines[:2] + [cell + b"\n"] + lines[3:])
+    old = {"config": b"d_model = 16", "manifest": b"duration_s=24.0"}[reader]
+    return data.replace(old, old.partition(b"=")[0] + b"=" + cell, 1)
+
+
+class TestRejectionSweep:
+    @pytest.mark.parametrize("reader, how, command", [
+        (reader, how, command)
+        for reader, (corruptions, commands) in _READERS.items()
+        for how in corruptions for command in commands
+    ])
+    def test_one_error_line_and_no_out(self, corpus, pre, target_csv, tmp_path, capsys,
+                                       reader, how, command):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(SWEEP_CFG, encoding="utf-8")
+        inputs = {"csv": target_csv, "config": cfg, "manifest": corpus / "corpus.manifest",
+                  "checkpoint": pre / "checkpoint.omg"}
+        bad = tmp_path / f"bad.{reader}"
+        bad.write_bytes(_spoil(reader, how, inputs[reader].read_bytes()))
+        inputs[reader] = bad
+        out = tmp_path / "o"
+        argv = [command, "--config", str(inputs["config"]), "--out", str(out)]
+        if command != "synth":
+            argv += ["--data", str(inputs["manifest" if command == "pretrain" else "csv"])]
+        if command in _READERS["checkpoint"][1]:
+            argv += ["--checkpoint", str(inputs["checkpoint"])]
+        assert main(argv) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out.exists()

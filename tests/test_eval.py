@@ -37,7 +37,7 @@ from patchcast.eval import (
     write_window_csv,
 )
 from patchcast.model import ModelConfig, decode_forecast, decode_reconstruct, encode, init_params
-from patchcast.numerics import debug_checks
+from patchcast.numerics import Tape
 from patchcast.synth import PhenomenonSpec, generate_quantity
 from patchcast.train import TrainConfig, clone_model, pretrain, save_checkpoint
 
@@ -292,8 +292,8 @@ def _with_weight(model, name, value):
 
 
 class TestNonFiniteBoundary:
-    """With the default settings a non-finite value is caught at the decoder's
-    output; the per-op scans are an opt-in debug mode."""
+    """A non-finite value is caught at the decoder's output; a tape around the
+    call names the op that first produced it."""
 
     def test_nan_weight_raises_at_the_decoder(self, model, series):
         bad = _with_weight(model, "layers.0.attn.wq", np.nan)
@@ -301,10 +301,11 @@ class TestNonFiniteBoundary:
         with pytest.raises(NumericError, match="forecast decoder"):
             evaluate_zero_shot(bad, series, "forecast", W, H, S)
 
-    def test_debug_checks_name_the_op(self, model, series):
+    def test_the_tape_names_the_op(self, model, series):
         bad = _with_weight(model, "layers.0.attn.wq", np.nan)
-        with debug_checks(True), pytest.raises(NumericError, match="output of linear"):
+        with Tape() as tape, pytest.raises(NumericError, match="forecast decoder"):
             evaluate_zero_shot(bad, series, "forecast", W, H, S)
+        assert tape.records[tape.first_nonfinite()].op == "linear"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     @pytest.mark.parametrize("task", ["forecast", "reconstruct"])

@@ -68,11 +68,8 @@ def test_non_finite_probe_is_reported():
 
     params = {"w": Tensor(np.array([0.9995]), requires_grad=True, dtype=F64)}
     target = Tensor(np.zeros(1), dtype=F64)
-    from patchcast.numerics import debug_checks
-
-    with debug_checks(False):  # let the probe itself hit the non-finite value
-        with pytest.raises(NumericError, match="w"):
-            grad_check(lambda: mse(fragile(params["w"]), target), params)
+    with pytest.raises(NumericError, match="w"):
+        grad_check(lambda: mse(fragile(params["w"]), target), params)
 
 
 def test_matmul_add_relu_chain():

@@ -362,6 +362,22 @@ class TestEndToEnd:
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the next GEMM
+    @pytest.mark.parametrize("name, value, op", [
+        ("layers.0.attn.wq", np.nan, "linear"), ("dec_forecast.b1", np.inf, "linear_relu"),
+    ])
+    def test_the_tape_names_the_first_non_finite_op(self, name, value, op):
+        cfg = tiny(norm_kind="batch")
+        m = init_params(cfg)
+        m.named_parameters()[name].data.flat[0] = value
+        with Tape() as tape, pytest.raises(NumericError, match="forecast decoder"):
+            _, z = encode(rand_patches(cfg, batch=2), m, mode="infer")
+            decode_forecast(z, m.forecast)
+        i = tape.first_nonfinite()
+        assert tape.records[i].op == op
+        assert all(np.isfinite(rec.output.data).all() for rec in tape.records[:i])
+        assert not np.isfinite(tape.records[i].output.data).all()
+
     def test_forward_is_float32_by_default(self):
         cfg = tiny(norm_kind="layer")
         m = init_params(cfg)
@@ -437,21 +453,6 @@ class TestUntapedPath:
         assert np.array_equal(moved, encode(x, clone_model(m), mode="infer")[1].data)
         restore_snapshot(m, snapshot)
         assert np.array_equal(encode(x, m, mode="infer")[1].data, before)
-
-    def test_debug_checks_name_the_op_without_a_tape(self):
-        from patchcast.errors import NumericError
-        from patchcast.numerics import debug_checks
-
-        cfg = tiny(norm_kind="batch")
-        m = init_params(cfg)
-        m.params["layers.0.attn.wq"].data[0, 0] = np.nan
-        with debug_checks(True), pytest.raises(NumericError, match="output of linear"):
-            encode(rand_patches(cfg), m, mode="infer")
-        m.params["layers.0.attn.wq"].data[0, 0] = 0.0
-        m.forecast.b1.data[0] = np.inf
-        _, z = encode(rand_patches(cfg), m, mode="infer")
-        with debug_checks(True), pytest.raises(NumericError, match="output of linear"):
-            decode_forecast(z, m.forecast)
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_taps_and_results_are_tensors(self, taped):

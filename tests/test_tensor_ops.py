@@ -1,12 +1,10 @@
 """Forward-value tests for the primitive kernels."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from patchcast.errors import ContractError, DegenerateBatchError, NumericError, ShapeError
+from patchcast.errors import ContractError, DegenerateBatchError, ShapeError
 from patchcast.numerics import (
     NormState,
     Tape,
@@ -15,8 +13,6 @@ from patchcast.numerics import (
     append_token,
     backward,
     causal_attention,
-    debug_checks,
-    debug_checks_enabled,
     linear,
     linear_relu,
     matmul,
@@ -142,8 +138,11 @@ class TestLinear:
     def test_nan_weight_is_reported_as_linear(self):
         w = np.ones((4, 3), np.float32)
         w[1, 2] = np.nan
-        with debug_checks(True), pytest.raises(NumericError, match="linear"):
-            linear(Tensor(np.ones((2, 5, 4), np.float32)), Tensor(w), Tensor(np.zeros(3, np.float32)))
+        x = Tensor(np.ones((2, 5, 4), np.float32))
+        with Tape() as tape:
+            y = linear(x, Tensor(w), Tensor(np.zeros(3, np.float32)))
+            scale(y, 2.0)
+        assert tape.first_nonfinite() == 0 and tape.records[0].op == "linear"
 
 
 def _residual_chain(h, x, w, b, kind, gain, bias, state, mode):
@@ -224,7 +223,7 @@ class TestFusedOps:
         x = Tensor(np.array([[1.0], [-1.0], [np.nan]], np.float32), requires_grad=True)
         w = Tensor(np.ones((1, 1), np.float32), requires_grad=True)
         b = Tensor(np.zeros(1, np.float32), requires_grad=True)
-        with debug_checks(False), Tape() as tape:
+        with Tape() as tape:
             y, pre = linear_relu(x, w, b)
         assert np.isnan(y.data[2, 0]) and np.isnan(pre.data[2, 0])
         dout = np.ones((3, 1), np.float32)
@@ -407,16 +406,14 @@ class TestPlumbing:
         vals = [-0.0, 0.0, np.inf, -np.inf, -3.0, 2.5, -1e-30, 1e-30, 7.0, -0.0] * 7
         x = np.array(vals, dtype=dtype)
         for view in (x, x[1::3]):
-            with debug_checks(False):  # the infinities would trip the output scan
-                out = relu(Tensor(view)).data
+            out = relu(Tensor(view)).data
             ref = np.where(view > 0, view, 0)
             assert out.dtype == ref.dtype == dtype
             assert np.array_equal(out.view(np.uint8), np.ascontiguousarray(ref).view(np.uint8))
             assert not np.signbit(out).any()
 
     def test_relu_propagates_nan(self):
-        with debug_checks(False):
-            out = relu(Tensor(np.array([np.nan, -1.0, 1.0], np.float32)))
+        out = relu(Tensor(np.array([np.nan, -1.0, 1.0], np.float32)))
         assert np.isnan(out.data[0])
         assert_array_equal(out.data[1:], [0.0, 1.0])
 
@@ -521,16 +518,24 @@ class TestCausalAttention:
         assert_array_equal(mask, np.triu(np.full((5, 5), -np.inf, dtype=dtype), k=1))
 
 
-class TestDebugChecks:
-    def test_off_by_default(self):
-        assert not debug_checks_enabled()
-        with Tape():
-            out = relu(Tensor(np.array([np.inf, np.nan], np.float32)))
-        assert not np.isfinite(out.data).any()
+class TestFirstNonfinite:
+    def test_finite_outputs_give_none(self):
+        x = Tensor(np.array([[1.0, -2.0]], np.float32))
+        with Tape() as tape:
+            assert tape.first_nonfinite() is None
+            relu(linear(x, Tensor(np.eye(2, dtype=np.float32)), Tensor(np.zeros(2, np.float32))))
+        assert len(tape) == 2 and tape.first_nonfinite() is None
 
-    def test_one_setting_for_every_thread(self):
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            with debug_checks(True):
-                assert pool.submit(debug_checks_enabled).result()
-            assert not pool.submit(debug_checks_enabled).result()
+    def test_masked_attention_on_finite_inputs_gives_none(self):
+        # the mask's -inf scores stay inside the kernel; only outputs count
+        q = Tensor(np.random.default_rng(0).normal(size=(2, 5, 4)).astype(np.float32))
+        with Tape() as tape:
+            causal_attention(q, q, q, 2)
+        assert tape.first_nonfinite() is None
 
+    def test_names_the_first_record_in_execution_order(self):
+        x = Tensor(np.array([1.0, np.inf, 3.0], np.float32))
+        with Tape() as tape:
+            y = relu(reshape(Tensor(np.ones(3, np.float32)), (3,)))
+            relu(add(x, y))
+        assert tape.first_nonfinite() == 2 and tape.records[2].op == "add"

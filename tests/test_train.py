@@ -41,7 +41,6 @@ from patchcast.numerics import (
     adamw_step,
     add,
     backward,
-    debug_checks,
     grad_check,
     mse,
     scale,
@@ -246,6 +245,7 @@ class TestLoop:
         assert 0 < exc.step < 60
         assert len(exc.curve) == exc.step
         assert all(np.isfinite(r.total) for r in exc.curve)
+        assert re.search(r"; op \w+ \(tape record \d+\) made the first non-finite output$", str(exc))
 
     def test_nan_gradient_stops_the_step_before_any_write(self, pool, monkeypatch):
         built, before = [], []
@@ -404,12 +404,12 @@ class TestFreeze:
         assert info.value.step == 0
         assert isinstance(info.value.__cause__, NumericError)
 
-    def test_nan_in_frozen_encoder_diverges_with_debug_checks_off(self, pool, target):
-        # with no per-op scans, the NaN must still reach the loss through ReLU
+    def test_nan_in_frozen_encoder_is_named(self, pool, target):
+        # the encoder ran off the tape, so the message blames its embedding
         model = pretrain(pool, small_config(), TrainConfig(steps=5, batch_size=4, seed=3)).model
         model.named_parameters()["layers.0.attn.wq"].data[0, 0] = np.nan
         cfg = TrainConfig(steps=4, batch_size=4, seed=1, target_mode="finetune_forecast")
-        with debug_checks(False), pytest.raises(TrainingDiverged) as info:
+        with pytest.raises(TrainingDiverged, match="frozen encoder's summary embedding") as info:
             finetune(model, target, cfg)
         assert info.value.step == 0
 
