@@ -66,22 +66,15 @@ class RunConfig:
 
     def flat(self) -> dict:
         out = {}
-        for section in _SECTIONS:
-            obj = getattr(self, section)
+        for section in fields(self):
+            obj = getattr(self, section.name)
             for f in fields(obj):
-                out[f"{section}.{f.name}"] = getattr(obj, f.name)
+                out[f"{section.name}.{f.name}"] = getattr(obj, f.name)
         return out
 
 
-_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "eval": EvalSettings, "synth": SynthSettings}
-
-
 def default_flat() -> dict:
-    out = {}
-    for section, cls in _SECTIONS.items():
-        for f in fields(cls):
-            out[f"{section}.{f.name}"] = f.default
-    return out
+    return RunConfig(**{s.name: s.type() for s in fields(RunConfig)}).flat()
 
 
 def _coerce(key: str, raw, default) -> object:
@@ -110,23 +103,18 @@ def build_run_config(*overrides: dict) -> RunConfig:
             if key not in flat:
                 raise ConfigError(f"unknown config key {key!r}")
             flat[key] = _coerce(key, raw, flat[key])
-    kwargs = {section: {} for section in _SECTIONS}
+    kwargs: dict = {}
     for key, value in flat.items():
         section, _, name = key.partition(".")
-        kwargs[section][name] = value
-    return RunConfig(
-        model=ModelConfig(**kwargs["model"]),
-        train=TrainConfig(**kwargs["train"]),
-        eval=EvalSettings(**kwargs["eval"]),
-        synth=SynthSettings(**kwargs["synth"]),
-    )
+        kwargs.setdefault(section, {})[name] = value
+    return RunConfig(**{s.name: s.type(**kwargs[s.name]) for s in fields(RunConfig)})
 
 
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines; ``#`` starts a comment; blanks ignored."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -317,7 +317,7 @@ def load_csv(path) -> TimeSeries:
     header.  Row numbers in errors are 1-based and include the header.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             rows = [r for r in csv.reader(fh) if r]
         except UnicodeDecodeError as exc:

@@ -1,7 +1,7 @@
 """Tape-based reverse-mode autodiff, kernels, optimizer, and gradient checks."""
 
 from .adamw import AdamWConfig, AdamWState, adamw_step
-from .gradcheck import GradCheckReport, grad_check
+from .gradcheck import grad_check
 from .ops import (
     NormState,
     add,
@@ -18,43 +18,4 @@ from .ops import (
     scale,
     select_position,
 )
-from .tensor import (
-    DEFAULT_DTYPE,
-    Tape,
-    Tensor,
-    all_finite,
-    backward,
-    current_tape,
-    tile,
-    zero_grads,
-)
-
-__all__ = [
-    "AdamWConfig",
-    "AdamWState",
-    "DEFAULT_DTYPE",
-    "GradCheckReport",
-    "NormState",
-    "Tape",
-    "Tensor",
-    "adamw_step",
-    "add",
-    "all_finite",
-    "append_token",
-    "backward",
-    "causal_attention",
-    "current_tape",
-    "grad_check",
-    "linear",
-    "linear_relu",
-    "matmul",
-    "mse",
-    "normalize",
-    "relu",
-    "reshape",
-    "residual",
-    "scale",
-    "select_position",
-    "tile",
-    "zero_grads",
-]
+from .tensor import Tape, Tensor, all_finite, backward, tile, zero_grads

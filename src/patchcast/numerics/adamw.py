@@ -6,15 +6,17 @@ rather than folded into the gradient (only ``lr`` and ``wd`` are settable):
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + EPS) + wd * theta)
 
-The trainable tensors tile one flat parameter buffer (for a model, its arena
-or a contiguous slice of it); the moments and the gradients are matching flat
-buffers.  Each tensor's slot in the gradient buffer is its gradient home
-(``Tensor.grad_home``), so the reverse sweep writes its gradient there and
-nothing is gathered.  A step copies only a ``.grad`` that is not its slot
-(one set by hand), checks the gradient buffer for NaN/Inf (``all_finite``:
-one dot product unless its sum of squares is not finite), then applies the
-update block by block, with every intermediate written into two
-block-sized scratch buffers, so the working set stays in cache.  Elementwise
+The trainable tensors must tile one flat parameter buffer in dict order: a
+model's arena or a contiguous slice of it, updated where it lives.  No other
+set is accepted, so the state never moves a tensor's ``.data``.  The moments
+and the gradients are matching flat buffers.  Each tensor's slot in the
+gradient buffer is its gradient home (``Tensor.grad_home``), so the reverse
+sweep writes its gradient there and nothing is gathered.  A step copies
+only a ``.grad`` that is not its slot (one set by hand), checks the gradient
+buffer for NaN/Inf (``all_finite``: one dot product unless its sum of
+squares is not finite), then applies the update block by block, with every
+intermediate written into two block-sized scratch buffers, so the working
+set stays in cache.  Elementwise
 float ufuncs give the same per-element result however the array is grouped,
 so the step is bitwise equal to the per-tensor update that runs the same
 operations in the same order.
@@ -80,27 +82,19 @@ class AdamWState:
     def initial(cls, params: dict, config: AdamWConfig | None = None) -> "AdamWState":
         """Zero moments over ``params``, in dict order.
 
-        Tensors that already tile one buffer in dict order (a model's arena or
-        a slice of it) are updated where they live; any other set is first
-        packed into a fresh buffer, and each tensor's ``.data`` becomes its
-        view of it.  Each tensor's slot in ``grad`` becomes its gradient
-        home.  All tensors must share one dtype.
+        The tensors must tile one buffer in that order (a model's arena or a
+        contiguous slice of it); any other set, the empty one included,
+        raises ContractError.  Each tensor's slot in ``grad`` becomes its
+        gradient home.
         """
         config = config or AdamWConfig()
         tensors = list(params.values())
-        dtypes = {p.data.dtype for p in tensors}
-        if len(dtypes) > 1:
+        flat = _tiled_buffer([p.data for p in tensors]) if tensors else None
+        if flat is None:
             raise ContractError(
-                f"optimizer parameters mix dtypes {sorted(d.name for d in dtypes)}"
+                "optimizer parameters must tile one flat buffer in dict order "
+                "(a model's arena or a contiguous slice of it)"
             )
-        if not tensors:
-            flat = np.zeros(0, np.float32)
-        else:
-            flat = _tiled_buffer([p.data for p in tensors])
-            if flat is None:
-                flat = np.concatenate([p.data.reshape(-1) for p in tensors])
-                for p, view in zip(tensors, tile(flat, [p.shape for p in tensors])):
-                    p.data = view
         grad = np.zeros_like(flat)
         grad_views = tile(grad, [p.shape for p in tensors])
         for p, home in zip(tensors, grad_views):

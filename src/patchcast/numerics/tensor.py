@@ -273,8 +273,7 @@ def tile(buf: np.ndarray, shapes) -> list:
     return views
 
 
-def zero_grads(params) -> None:
-    """Drop gradient buffers of an iterable (or dict) of tensors."""
-    values = params.values() if isinstance(params, dict) else params
-    for t in values:
+def zero_grads(params: dict) -> None:
+    """Drop the gradient buffers of a dict of tensors."""
+    for t in params.values():
         t.grad = None

@@ -418,7 +418,7 @@ def write_manifest(path, manifest: Sequence[ManifestRecord]) -> None:
 
 def read_manifest(path) -> list:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for line in fh:
                 line = line.strip()
@@ -433,12 +433,9 @@ def read_manifest(path) -> list:
 # default recipes
 
 
-def default_pretrain_recipe(
-    variants_per_entry: int = 16,
-    duration_s: float = 24.0,
-    rate_hz: float = 256.0,
-) -> list:
-    """The stock pretraining mix; never includes the held-out kinds."""
+def default_pretrain_recipe(variants_per_entry: int = 16) -> list:
+    """The stock pretraining mix, 24 s at 256 Hz per variant; never includes
+    the held-out kinds."""
     clean = SensorModel()
     noisy = SensorModel(noise_std=0.01)
     coarse = SensorModel(noise_std=0.005, clip_range=(-4.0, 4.0), quantization_bits=12)
@@ -446,7 +443,7 @@ def default_pretrain_recipe(
 
     def entry(kind, params, sensor):
         return CorpusEntry(
-            kind=kind, duration_s=duration_s, rate_hz=rate_hz,
+            kind=kind, duration_s=24.0, rate_hz=256.0,
             params=params, sensor=sensor, count=variants_per_entry,
         )
 

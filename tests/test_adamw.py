@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import patchcast.train as train_mod
 from patchcast.errors import ContractError, NumericError
 from patchcast.model import ModelConfig, init_params
-from patchcast.numerics import AdamWConfig, AdamWState, Tape, Tensor, adamw_step, backward
+from patchcast.numerics import AdamWConfig, AdamWState, Tape, Tensor, adamw_step, backward, tile
 from patchcast.numerics.adamw import BETA1, BETA2, EPS
 from patchcast.selfcheck import dual_loss_setup
 from patchcast.synth import PhenomenonSpec, generate_quantity
@@ -19,8 +19,17 @@ from patchcast.synth import PhenomenonSpec, generate_quantity
 ONE_STEP_FROM_UNIT = 0.99899000001
 
 
+def _tiled(dtype=np.float32, **values):
+    """Parameters named and ordered as ``values``, tiling one flat buffer as a
+    model's arena does."""
+    arrays = [np.asarray(v, dtype=dtype) for v in values.values()]
+    flat = np.concatenate([a.reshape(-1) for a in arrays])
+    views = tile(flat, [a.shape for a in arrays])
+    return {name: Tensor(view, requires_grad=True) for name, view in zip(values, views)}
+
+
 def _unit_param(dtype):
-    p = {"w": Tensor(np.array([1.0]), requires_grad=True, dtype=dtype)}
+    p = _tiled(dtype, w=[1.0])
     p["w"].grad = np.ones(1, dtype=dtype)
     return p
 
@@ -40,7 +49,7 @@ def test_single_step_float32_agrees_to_working_precision():
 
 
 def test_zero_grad_zero_decay_is_identity():
-    params = {"w": Tensor([5.0, -3.0], requires_grad=True)}
+    params = _tiled(w=[5.0, -3.0])
     params["w"].grad = np.zeros(2, dtype=np.float32)
     cfg = AdamWConfig(weight_decay=0.0)
     before = params["w"].data.copy()
@@ -50,7 +59,7 @@ def test_zero_grad_zero_decay_is_identity():
 
 def test_decay_only_shrinks_weights():
     # zero gradient, nonzero decay: update term vanishes, decay remains
-    params = {"w": Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)}
+    params = _tiled(np.float64, w=[1.0])
     params["w"].grad = np.zeros(1, dtype=np.float64)
     adamw_step(params, AdamWState.initial(params))
     assert_allclose(params["w"].data, [1.0 - 1e-3 * 0.01], atol=1e-12)
@@ -58,7 +67,7 @@ def test_decay_only_shrinks_weights():
 
 def test_descends_a_quadratic():
     # minimize w^2 from w=1 with wd=0; reference trajectory computed by hand
-    params = {"w": Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)}
+    params = _tiled(np.float64, w=[1.0])
     state = AdamWState.initial(params, AdamWConfig(weight_decay=0.0))
     seen = [1.0]
     for _ in range(10):
@@ -78,7 +87,7 @@ def test_two_steps_match_scalar_transcription():
         v = b2 * v + (1 - b2) * g * g
         w = w - lr * ((m / (1 - b1**t)) / ((v / (1 - b2**t)) ** 0.5 + eps) + wd * w)
 
-    params = {"w": Tensor(np.array([0.5]), requires_grad=True, dtype=np.float64)}
+    params = _tiled(np.float64, w=[0.5])
     state = AdamWState.initial(params)
     for g in (1.0, 2.0):
         params["w"].grad = np.array([g])
@@ -87,10 +96,7 @@ def test_two_steps_match_scalar_transcription():
 
 
 def test_missing_grad_names_parameter():
-    params = {
-        "ok": Tensor([1.0], requires_grad=True),
-        "stale": Tensor([1.0], requires_grad=True),
-    }
+    params = _tiled(ok=[1.0], stale=[1.0])
     params["ok"].grad = np.ones(1, dtype=np.float32)
     state = AdamWState.initial(params)
     with pytest.raises(ContractError, match="stale"):
@@ -98,16 +104,16 @@ def test_missing_grad_names_parameter():
 
 
 def test_unknown_parameter_rejected():
-    params = {"w": Tensor([1.0], requires_grad=True)}
+    params = _tiled(w=[1.0])
     params["w"].grad = np.ones(1, dtype=np.float32)
-    state = AdamWState.initial({})
+    state = AdamWState.initial(_tiled(v=[1.0]))
     with pytest.raises(ContractError, match="w"):
         adamw_step(params, state)
 
 
 def test_disjoint_param_groups_step_independently():
-    a = {"w": Tensor([1.0], requires_grad=True, dtype=np.float64)}
-    b = {"w": Tensor([1.0], requires_grad=True, dtype=np.float64)}
+    a = _tiled(np.float64, w=[1.0])
+    b = _tiled(np.float64, w=[1.0])
     for group in (a, b):
         group["w"].grad = np.ones(1)
     sa, sb = AdamWState.initial(a), AdamWState.initial(b)
@@ -139,11 +145,15 @@ SMALL = ModelConfig(l_patch=8, n_patches=8, d_model=16, n_layers=2, n_heads=2, d
                     l_pred=16, seed=3)
 
 
-@pytest.mark.parametrize("cfg, dtype", [(FLAGSHIP, np.float32), (SMALL, np.float64)],
-                         ids=["flagship-float32", "small-float64"])
-def test_blocked_step_matches_per_tensor_loop(cfg, dtype):
-    # the flagship arena spans several blocks and ends in a partial one
-    params = init_params(cfg, dtype=dtype).named_parameters()
+@pytest.mark.parametrize("cfg, dtype, head", [
+    (FLAGSHIP, np.float32, ""), (SMALL, np.float64, ""), (SMALL, np.float64, "dec_forecast."),
+], ids=["flagship-float32", "small-float64", "small-float64-head"])
+def test_blocked_step_matches_per_tensor_loop(cfg, dtype, head):
+    # the flagship arena spans several blocks and ends in a partial one; a
+    # head's tensors are a slice of the arena, stepped where they live
+    everything = init_params(cfg, dtype=dtype).named_parameters()
+    params = {n: p for n, p in everything.items() if n.startswith(head)}
+    untouched = {n: p.data.copy() for n, p in everything.items() if n not in params}
     opt_cfg = AdamWConfig(lr=3e-3, weight_decay=0.05)
     state = AdamWState.initial(params, opt_cfg)
     ref = {n: (p.data.copy(), None) for n, p in params.items()}
@@ -158,29 +168,33 @@ def test_blocked_step_matches_per_tensor_loop(cfg, dtype):
         reference_step(ref, m, v, t, opt_cfg)
     for name, p in params.items():
         assert_array_equal(p.data, ref[name][0], err_msg=name)
+    for name, data in untouched.items():
+        assert_array_equal(everything[name].data, data, err_msg=name)
     assert_array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
     assert_array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
 
 
-def test_mixed_dtypes_rejected():
-    params = {
-        "a": Tensor([1.0], requires_grad=True, dtype=np.float32),
-        "b": Tensor([1.0], requires_grad=True, dtype=np.float64),
-    }
-    with pytest.raises(ContractError, match="float32.*float64"):
+@pytest.mark.parametrize("case", ["free-standing", "empty", "mixed-dtypes", "out-of-arena-order"])
+def test_initial_refuses_a_set_that_does_not_tile_one_buffer(case):
+    if case == "free-standing":
+        params = {"a": Tensor([1.0, 2.0], requires_grad=True), "b": Tensor([[3.0]], requires_grad=True)}
+    elif case == "empty":
+        params = {}
+    elif case == "mixed-dtypes":
+        params = {"a": Tensor([1.0], requires_grad=True, dtype=np.float32),
+                  "b": Tensor([1.0], requires_grad=True, dtype=np.float64)}
+    else:
+        params = dict(reversed(init_params(SMALL).named_parameters().items()))
+    before = {n: p.data for n, p in params.items()}
+    with pytest.raises(ContractError, match="must tile one flat buffer in dict order"):
         AdamWState.initial(params)
-
-
-def test_free_standing_tensors_are_packed_into_one_buffer():
-    params = {"a": Tensor([1.0, 2.0], requires_grad=True), "b": Tensor([[3.0]], requires_grad=True)}
-    state = AdamWState.initial(params)
-    assert_array_equal(state.flat, [1.0, 2.0, 3.0])
-    assert params["a"].data.base is state.flat and params["b"].data.base is state.flat
-    assert params["b"].shape == (1, 1)
+    for name, p in params.items():
+        assert p.data is before[name], name  # never rebound
+        assert p.grad_home is None, name
 
 
 def test_step_must_cover_the_state_set():
-    params = {"a": Tensor([1.0], requires_grad=True), "b": Tensor([2.0], requires_grad=True)}
+    params = _tiled(a=[1.0], b=[2.0])
     state = AdamWState.initial(params)
     params["a"].grad = np.ones(1, dtype=np.float32)
     with pytest.raises(ContractError, match="1 of the 2"):
@@ -188,7 +202,7 @@ def test_step_must_cover_the_state_set():
 
 
 def test_rebound_tensor_rejected():
-    params = {"w": Tensor([1.0], requires_grad=True)}
+    params = _tiled(w=[1.0])
     state = AdamWState.initial(params)
     params["w"].data = np.array([1.0], dtype=np.float32)
     params["w"].grad = np.ones(1, dtype=np.float32)

@@ -127,7 +127,7 @@ def test_grads_accumulate_across_backward_calls():
             loss = sum_all(x)
         backward(tape, loss)
     assert_allclose(x.grad, [2.0, 2.0])
-    zero_grads([x])
+    zero_grads({"x": x})
     assert x.grad is None
 
 

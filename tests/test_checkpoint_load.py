@@ -1,7 +1,9 @@
 """The checkpoint load path: the head read, the size floor, adopted views,
-the one-pass finiteness probe and the refusal that names a bad field."""
+the one-pass finiteness probe and the refusal that names a bad field; and
+the vectored reads and writes that take more than one call."""
 
 import math
+import os
 import re
 import struct
 import warnings
@@ -198,3 +200,65 @@ class TestRefusal:
     def test_trailing_byte_is_named(self, blob, tmp_path):
         self.refused(tmp_path / "long.omg", blob + b"\x00",
                      "^1 trailing bytes after the step counter$")
+
+
+# 1,234 plan entries: more than one vectored call takes (1,024 on Linux)
+DEEP = ModelConfig(l_patch=4, n_patches=4, d_model=4, n_layers=30, n_heads=2, d_ff=8, l_pred=4)
+
+
+class TestVectoredIO:
+    """Plans longer than one vectored call, and writes the kernel cuts short."""
+
+    @pytest.fixture()
+    def deep(self, tmp_path):
+        m = init_params(DEEP)
+        m.stats[...] = np.random.default_rng(12).uniform(0.5, 2.0, size=m.stats.shape)
+        return m, save(m, tmp_path / "deep.omg").read_bytes()
+
+    def test_a_plan_over_the_iovec_limit_loads_in_several_reads(self, deep, tmp_path):
+        m, _ = deep
+        lay = train_mod._layout(DEEP)
+        assert len(lay.plan) > train_mod._IOV_MAX and len(lay.reads) == 2
+        loaded, step = load_checkpoint(tmp_path / "deep.omg")
+        assert step == 7
+        assert_bitwise(loaded, m)
+
+    def test_refusals_in_the_second_read_are_named(self, deep, tmp_path):
+        _, blob = deep
+        start = 12 + len(config_block(DEEP))
+        fields = record_fields(DEEP)
+        later = [f for f in fields[train_mod._IOV_MAX :] if f[0].startswith("header")]
+        label, lo, hi = later[-1]  # the last header, read by the second call
+        bad = bytearray(blob)
+        bad[start + (lo + hi) // 2] ^= 0xFF
+        path = tmp_path / "bad.omg"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointCorruptError,
+                           match=f"^{re.escape(label)} is not what the config implies$"):
+            load_checkpoint(path)
+        path.write_bytes(blob[: start + lo + 1])
+        with pytest.raises(CheckpointCorruptError,
+                           match=f"^checkpoint truncated while reading {re.escape(label)}$"):
+            load_checkpoint(path)
+
+    def test_short_writes_are_continued(self, model, tmp_path, monkeypatch):
+        want = save(model, tmp_path / "whole.omg").read_bytes()
+
+        def short_writev(fd, bufs):  # the kernel may write fewer bytes than asked
+            chunk = bytearray()
+            for b in bufs:
+                chunk += b[: 37 - len(chunk)]
+            return os.write(fd, chunk)
+
+        monkeypatch.setattr(train_mod.os, "writev", short_writev)
+        assert save(model, tmp_path / "short.omg").read_bytes() == want
+
+    def test_a_write_without_progress_keeps_the_previous_checkpoint(self, model, tmp_path,
+                                                                    monkeypatch):
+        path = save(model, tmp_path / "m.omg")
+        before = path.read_bytes()
+        monkeypatch.setattr(train_mod.os, "writev", lambda fd, bufs: 0)
+        with pytest.raises(OSError, match="made no progress"):
+            save(clone_model(model), path, step=8)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.omg"]  # no temporary file left

@@ -249,6 +249,37 @@ class TestRunProtocol:
         assert "bad.bin" in err and "UTF-8" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("reader", ["csv", "config", "manifest"])
+    def test_byte_order_mark_changes_nothing(self, cfg_file, corpus, pre, target_csv, tmp_path,
+                                             reader):
+        # without the mark skipped, the headerless CSV loses its first sample,
+        # and the config and the manifest misread their first key or kind
+        short_cfg = tmp_path / "short.cfg"
+        short_cfg.write_text(SWEEP_CFG.replace("train.steps = 30", "train.steps = 2"), encoding="utf-8")
+        data = {
+            "csv": target_csv.read_bytes().partition(b"\n")[2],  # drop the header row
+            "config": short_cfg.read_bytes(),
+            "manifest": (corpus / "corpus.manifest").read_bytes(),
+        }[reader]
+        outputs = []
+        for tag, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{tag}.{reader}"
+            path.write_bytes(mark + data)
+            out = tmp_path / tag
+            argv = {
+                "csv": ["forecast", "--config", str(cfg_file), "--checkpoint",
+                        str(pre / "checkpoint.omg"), "--data", str(path), "--out", str(out)],
+                "config": ["synth", "--config", str(path), "--out", str(out)],
+                "manifest": ["pretrain", "--config", str(short_cfg), "--data", str(path),
+                             "--out", str(out)],
+            }[reader]
+            assert main(argv) == 0, tag
+            if out.is_dir():
+                outputs.append(sorted((f.name, f.read_bytes()) for f in out.iterdir()))
+            else:
+                outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_unwritable_out_fails_before_training(self, cfg_file, corpus, tmp_path, monkeypatch):
         def never(*_):
             raise AssertionError("training started")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -318,7 +319,8 @@ class TestSensorModel:
 
 class TestCorpus:
     def small_recipe(self):
-        return default_pretrain_recipe(variants_per_entry=2, duration_s=4.0, rate_hz=64.0)
+        return [dataclasses.replace(e, duration_s=4.0, rate_hz=64.0)
+                for e in default_pretrain_recipe(variants_per_entry=2)]
 
     def test_counts_and_determinism(self):
         recipe = self.small_recipe()
